@@ -3,8 +3,8 @@
 Every command is a pure function of (input files, config, seed): rerunning
 with identical inputs reproduces byte-identical CSV outputs.  Each run
 writes a manifest JSON recording input hashes, the seed, the package
-version, and wall time.  Errors map to exit codes: configuration 2,
-data 3, numerical 4.
+version, and the wall time from reading the config to the last output.
+Errors map to exit codes: configuration 2, data 3, numerical 4.
 """
 
 from __future__ import annotations
@@ -141,12 +141,12 @@ PRIOR_KEYS = ("regression_sd", "re_sd_scale", "tau2_shape", "tau2_scale",
 
 def cmd_build(args):
     """Validate a graph, build its generator, and echo both to the output dir."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, GRAPH_KEYS + RATE_KEYS)
     graph, inputs = _load_cfg_graph(cfg, cfg_path)
     Q = _cfg_rates(cfg, graph)
     out = _out_dir(args)
-    started = time.time()
     write_graph(graph, out / "nodes.csv", out / "edges.csv")
     write_json(
         {
@@ -167,13 +167,13 @@ def cmd_build(args):
 
 def cmd_check_ident(args):
     """Classify the generator's identifiability and write the report JSON."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, GRAPH_KEYS + RATE_KEYS)
     graph, inputs = _load_cfg_graph(cfg, cfg_path)
     Q = _cfg_rates(cfg, graph)
     report = check_identifiable(Q)
     out = _out_dir(args)
-    started = time.time()
     (out / "identifiability.json").write_text(report.to_json() + "\n")
     write_manifest(
         out / "manifest.json", "check-ident", inputs + [cfg_path], None, started,
@@ -186,6 +186,7 @@ def cmd_check_ident(args):
 
 def cmd_simulate_field(args):
     """Draw one intrinsic field realization and write it as node_id,value CSV."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, GRAPH_KEYS + RATE_KEYS + ("sigma", "seed"))
     seed = _seed_of(args, cfg)
@@ -194,7 +195,6 @@ def cmd_simulate_field(args):
     fld = IntrinsicField(Q, sigma=_as_float(cfg, "sigma", 1.0))
     sample = sample_field(fld, seed)
     out = _out_dir(args)
-    started = time.time()
     write_field_csv(sample.pi, out / "field.csv")
     write_manifest(out / "manifest.json", "simulate-field", inputs + [cfg_path], seed,
                    started, [out / "field.csv"])
@@ -233,6 +233,7 @@ def _cfg_density(cfg, m):
 
 def cmd_simulate_population(args):
     """Simulate the finite-N jump process (or its large-N limit with ode=true)."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, POPSIM_KEYS)
     graph, inputs = _load_cfg_graph(cfg, cfg_path)
@@ -243,7 +244,6 @@ def cmd_simulate_population(args):
     t_end = _as_float(cfg, "t_end")
     snap = _as_float(cfg, "snapshot_every", 0.1)
     out = _out_dir(args)
-    started = time.time()
     if _as_bool(cfg, "ode"):
         seed = None
         traj = integrate_limit_ode(Q, demo, z0, t_end, snapshot_every=snap)
@@ -264,6 +264,7 @@ def cmd_simulate_population(args):
 
 def cmd_convergence(args):
     """Measure the gap between finite-N paths and the deterministic limit."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(
         cfg_path,
@@ -289,7 +290,6 @@ def cmd_convergence(args):
         snapshot_every=_as_float(cfg, "snapshot_every", 0.1),
     )
     out = _out_dir(args)
-    started = time.time()
     write_json({str(n): g for n, g in gaps.items()}, out / "convergence.json")
     write_manifest(out / "manifest.json", "convergence", inputs + [cfg_path], seed,
                    started, [out / "convergence.json"])
@@ -352,6 +352,7 @@ def _fit_spec(cfg, cfg_path):
 
 def cmd_fit(args):
     """Run the Gibbs sampler and write draws, summaries, and the manifest."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, FIT_KEYS)
     seed = _seed_of(args, cfg)
@@ -364,7 +365,6 @@ def cmd_fit(args):
         thin=_as_int(cfg, "thin", 1),
     )
     out = _out_dir(args)
-    started = time.time()
     write_samples_csv(samples, out / "samples.csv")
     write_json(
         {"summary": samples.summary(), "metadata": samples.metadata},
@@ -383,6 +383,7 @@ def cmd_fit(args):
 
 def cmd_dic(args):
     """DIC for a finished fit: needs the fit config plus its samples.csv."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, FIT_KEYS + ("samples",))
     spec, inputs = _fit_spec(cfg, cfg_path)
@@ -392,7 +393,6 @@ def cmd_dic(args):
     samples = read_samples_csv(samples_path)
     result = compute_dic(samples, gaussian_loglik_fn(spec))
     out = _out_dir(args)
-    started = time.time()
     write_json(result.to_dict(), out / "dic.json")
     write_manifest(out / "manifest.json", "dic", inputs + [cfg_path, samples_path],
                    None, started, [out / "dic.json"])
@@ -403,6 +403,7 @@ def cmd_dic(args):
 
 def cmd_diagnose(args):
     """Split-half convergence check on a samples file; flags unstable marginals."""
+    started = time.time()
     cfg_path = args.config
     cfg = parse_config(cfg_path, ("samples",))
     samples_path = Path(_require(cfg, "samples", cfg_path))
@@ -410,7 +411,6 @@ def cmd_diagnose(args):
         raise DataError(f"input file not found: {samples_path}")
     report = split_half_diagnostic(read_samples_csv(samples_path))
     out = _out_dir(args)
-    started = time.time()
     write_json(report, out / "diagnostics.json")
     write_manifest(out / "manifest.json", "diagnose", [cfg_path, samples_path], None,
                    started, [out / "diagnostics.json"])

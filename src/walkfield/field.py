@@ -1,9 +1,16 @@
 """The intrinsic random field pi ~ N(0, (QQ')^-) restricted to sum(pi) = 0.
 
-The precision QQ' has rank M-1 for irreducible Q, with null vector 1.
-All subspace computations are exact: constrained solves go through a
-bordered linear system and the normalizing constant uses the pseudo-
-determinant, never a jitter on the diagonal.
+Q is any irreducible generator, directed or not.  Since Q1 = 0, the field
+solves Q'pi = gamma for sum-zero white noise gamma, and its density on the
+sum-zero subspace has precision F'QQ'F for an orthonormal basis F of that
+subspace.  The null vector of QQ' is the stationary law of the walk, which
+is 1 only when in-rates equal out-rates, so the normalizer is
+log det(F'QQ'F), not the pseudo-determinant of QQ'.
+
+Everything runs on one sparse LU of Q' grounded at node 0 (its row and
+column removed), after Rue & Held, Gaussian Markov Random Fields (2005),
+section 2.3: sum-zero solves, field draws and the exact normalizer, with
+no dense eigendecomposition and no jitter on the diagonal.
 """
 
 from __future__ import annotations
@@ -14,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError, NumericalError
 from .graph import GeneratorMatrix
-
-DENSE_EIG_LIMIT = 2000
 
 
 def stationary_precision(Q: GeneratorMatrix) -> sp.csr_matrix:
@@ -28,56 +34,76 @@ def stationary_precision(Q: GeneratorMatrix) -> sp.csr_matrix:
     return p.tocsr()
 
 
+class _GroundedLU:
+    """Sparse LU of a singular A with 1'A = 0 on a strongly connected graph.
+
+    Deleting node 0's row and column leaves a nonsingular minor A0 (a
+    principal minor of an irreducible singular M-matrix, or of a PSD matrix
+    of rank M-1 with null vector 1); unlike the bordered [[A, 1], [1', 0]]
+    it has no dense row to fill in.  One more solve gives the null vector
+    v of A with v_0 = 1.  With F an orthonormal basis of the sum-zero
+    subspace, det(F'AF) is the product of A's nonzero eigenvalues, the
+    trace of adj(A) = det(A0) v 1', so log|det F'AF| = log|det A0| + log|1'v|.
+    """
+
+    def __init__(self, A):
+        A = sp.csc_matrix(A)
+        n_parts, _ = connected_components(A, directed=True, connection="strong")
+        if n_parts > 1:
+            raise NumericalError(
+                f"graph has {n_parts} strongly connected components: the field "
+                "needs an irreducible generator"
+            )
+        try:
+            self._lu = spla.splu(A[1:, 1:])
+        except RuntimeError as exc:
+            raise NumericalError(f"grounded factorization failed ({exc})") from exc
+        v = np.ones(A.shape[0])
+        v[1:] = self._lu.solve(-A[1:, 0].toarray().ravel())
+        self._v = v
+        self._v_sum = float(v.sum())
+        self.logdet = float(np.log(np.abs(self._lu.U.diagonal())).sum()) + math.log(
+            abs(self._v_sum)
+        )
+        if not (np.isfinite(v).all() and math.isfinite(self.logdet)):
+            raise NumericalError("grounded factorization is numerically singular")
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with Ax = r and 1'x = 0, for r (or each column of r) summing to zero."""
+        x = np.zeros_like(r)
+        x[1:] = self._lu.solve(r[1:])
+        x -= np.multiply.outer(self._v, x.sum(axis=0) / self._v_sum)
+        return x
+
+
 def log_pseudo_det(P) -> float:
     """Log product of the nonzero eigenvalues of a PSD matrix with null vector 1.
 
-    Dense symmetric eigendecomposition (desk scale, M <= 2000).  Exactly one
-    eigenvalue may be numerically zero; more than one signals a reducible
-    graph and raises.
+    Runs on the grounded sparse LU of P.  A P whose pattern falls apart into
+    several components has more than one null direction and raises.
     """
-    dense = P.toarray() if sp.issparse(P) else np.asarray(P, dtype=float)
-    m = dense.shape[0]
-    if m > DENSE_EIG_LIMIT:
-        raise NumericalError(f"dense eigendecomposition limited to M <= {DENSE_EIG_LIMIT}")
-    ones = np.ones(m)
-    if np.max(np.abs(dense @ ones)) > 1e-8 * max(1.0, np.max(np.abs(dense))):
+    P = sp.csc_matrix(P, dtype=float)
+    if np.max(np.abs(P @ np.ones(P.shape[0]))) > 1e-8 * max(1.0, abs(P).max()):
         raise DataError("matrix does not annihilate the constant vector")
-    w = np.linalg.eigvalsh(dense)
-    tol = 1e-10 * w[-1]
-    null = int(np.sum(w <= tol))
-    if null > 1:
-        raise NumericalError(
-            f"{null} near-zero eigenvalues: precision is rank-deficient "
-            "beyond the intrinsic constraint (reducible graph?)"
-        )
-    return float(np.sum(np.log(w[null:])))
+    return _GroundedLU(P).logdet
 
 
 def constrained_solve(Q: GeneratorMatrix, r: np.ndarray) -> np.ndarray:
-    """Solve Q' pi = r on the sum-zero subspace.
+    """Solve Q' pi = r on the sum-zero subspace, for r of shape (M,) or (M, k).
 
-    r is first projected onto range(Q') by removing its mean; the unique
-    pi with 1'pi = 0 comes from the bordered system [[Q', 1], [1', 0]].
+    r is first projected onto range(Q') by removing its mean (column by
+    column); the unique pi with 1'pi = 0 comes from the grounded LU of Q'.
     This is the constrained generalized inverse applied to r.
     """
     m = Q.dim
     r = np.asarray(r, dtype=float)
-    if r.shape != (m,):
-        raise DataError(f"right-hand side must have length {m}")
-    r_tilde = r - r.mean()
-    ones = sp.csr_matrix(np.ones((m, 1)))
-    bordered = sp.bmat(
-        [[Q.matrix.T, ones], [ones.T, None]], format="csc"
-    )
-    rhs = np.concatenate([r_tilde, [0.0]])
-    try:
-        sol = spla.spsolve(bordered, rhs)
-    except RuntimeError as exc:  # pragma: no cover - singular factorization
-        raise NumericalError(f"bordered solve failed ({exc}); is Q irreducible?") from exc
-    pi = sol[:m]
-    resid = np.max(np.abs(Q.matrix.T @ pi - r_tilde))
-    scale = max(np.max(np.abs(r_tilde)), 1e-300)
-    if not np.isfinite(pi).all() or resid > 1e-10 * max(scale, 1.0):
+    if r.ndim not in (1, 2) or r.shape[0] != m:
+        raise DataError(f"right-hand side must have {m} rows")
+    r_tilde = r - r.mean(axis=0)
+    pi = _GroundedLU(Q.matrix.T).solve(r_tilde)
+    resid = np.abs(Q.matrix.T @ pi - r_tilde).max(axis=0)
+    scale = np.maximum(np.abs(r_tilde).max(axis=0), 1.0)
+    if not np.isfinite(pi).all() or np.any(resid > 1e-10 * scale):
         raise NumericalError(
             "constrained solve did not converge; check that Q is irreducible"
         )
@@ -86,8 +112,9 @@ def constrained_solve(Q: GeneratorMatrix, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntrinsicField:
-    """Immutable field object with eagerly cached precision and log pseudo-det.
+    """Immutable field object with its precision, factor and normalizer cached.
 
+    logpdet is log det(F'QQ'F) = 2 log|det F'Q'F|, exact for directed Q.
     sigma is the standard deviation of the driving noise.  The genetics
     model fixes sigma = 1; the precision itself carries no free scale.
     """
@@ -96,33 +123,19 @@ class IntrinsicField:
     sigma: float = 1.0
     precision: sp.csr_matrix = field(init=False, repr=False)
     logpdet: float = field(init=False)
+    _factor: _GroundedLU = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise DataError("sigma must be positive")
-        p = stationary_precision(self.Q)
-        object.__setattr__(self, "precision", p)
-        object.__setattr__(self, "logpdet", log_pseudo_det(p))
+        factor = _GroundedLU(self.Q.matrix.T)
+        object.__setattr__(self, "precision", stationary_precision(self.Q))
+        object.__setattr__(self, "logpdet", 2.0 * factor.logdet)
+        object.__setattr__(self, "_factor", factor)
 
     @property
     def dim(self):
         return self.Q.dim
-
-    def _bordered_solver(self):
-        """Cached LU factor of [[Q', 1], [1', 0]] for repeated sampling."""
-        solver = getattr(self, "_solver", None)
-        if solver is None:
-            m = self.dim
-            ones = sp.csr_matrix(np.ones((m, 1)))
-            bordered = sp.bmat([[self.Q.matrix.T, ones], [ones.T, None]], format="csc")
-            try:
-                solver = spla.splu(bordered)
-            except RuntimeError as exc:
-                raise NumericalError(
-                    f"bordered factorization failed ({exc}); is Q irreducible?"
-                ) from exc
-            object.__setattr__(self, "_solver", solver)
-        return solver
 
 
 @dataclass(frozen=True)
@@ -140,8 +153,7 @@ def sample_field(fld: IntrinsicField, seed: int) -> FieldSample:
     rng = np.random.default_rng(seed)
     gamma = rng.normal(0.0, fld.sigma, fld.dim)
     gamma -= gamma.mean()
-    rhs = np.concatenate([gamma, [0.0]])
-    pi = fld._bordered_solver().solve(rhs)[: fld.dim]
+    pi = fld._factor.solve(gamma)
     if not np.isfinite(pi).all():
         raise NumericalError("field solve produced non-finite values")
     return FieldSample(pi=pi, seed=seed)
@@ -159,8 +171,7 @@ def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     gamma = rng.normal(0.0, fld.sigma, (n_draws, m))
     gamma -= gamma.mean(axis=1, keepdims=True)
-    rhs = np.concatenate([gamma.T, np.zeros((1, n_draws))], axis=0)
-    out = fld._bordered_solver().solve(rhs)[:m].T
+    out = fld._factor.solve(gamma.T).T
     if not np.isfinite(out).all():
         raise NumericalError("field solve produced non-finite values")
     return out
@@ -169,7 +180,7 @@ def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
 def log_density(pi: np.ndarray, fld: IntrinsicField) -> float:
     """Proper log density of the field on the sum-zero subspace.
 
-    -(M-1)/2 log(2 pi sigma^2) + 1/2 logpdet(QQ') - pi'QQ'pi / (2 sigma^2).
+    -(M-1)/2 log(2 pi sigma^2) + 1/2 log det(F'QQ'F) - pi'QQ'pi / (2 sigma^2).
     The normalizing constant is exact, which matters for inference on Q.
     """
     pi = np.asarray(pi, dtype=float)

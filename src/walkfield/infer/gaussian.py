@@ -5,9 +5,11 @@ an intrinsic field (precision QQ', sum-zero) on the neighborhood graph.
 Under the GraphDiffusion variant x is the covariate smoothed once through
 the constrained inverse of Q'; otherwise x is the covariate itself.
 
-The sampler works in the eigenbasis of QQ': the sum-zero constraint is the
-first eigenvector, so constrained sampling of eta reduces to independent
-Gaussian draws on the remaining M-1 coordinates.  Conjugate Gibbs updates
+The sampler works in the eigenbasis of F'QQ'F, the precision restricted to
+the sum-zero subspace spanned by the orthonormal columns of F, so
+constrained sampling of eta reduces to independent Gaussian draws on M-1
+coordinates.  (QQ' itself annihilates the stationary law of the walk, which
+is the constant vector only for balanced rates.)  Conjugate Gibbs updates
 for (mu, beta), tau^2, and eta; adaptive random-walk Metropolis on log
 sigma (half-normal prior breaks conjugacy), with adaptation frozen when
 burn-in ends so the retained chain preserves detailed balance.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import helmert
 
 from ..errors import DataError, NumericalError
 from ..field import constrained_solve, stationary_precision
@@ -96,13 +99,12 @@ def fit_gaussian(
         raise DataError("neighborhood graph must be connected (Q irreducible)")
     x = _design_column(spec, Q)
 
-    # eigenbasis of the intrinsic precision; first column spans the constraint
-    P = stationary_precision(Q).toarray()
-    evals, evecs = np.linalg.eigh(P)
-    if evals[1] <= 1e-10 * evals[-1]:
-        raise NumericalError("intrinsic precision has rank below M-1")
-    U = evecs[:, 1:]
-    d_pos = evals[1:]
+    # eigenbasis of the intrinsic precision restricted to the sum-zero subspace
+    F = helmert(m).T
+    d_pos, W = np.linalg.eigh(F.T @ stationary_precision(Q).toarray() @ F)
+    if d_pos[0] <= 0.0:
+        raise NumericalError("intrinsic precision is not positive on the sum-zero subspace")
+    U = F @ W
 
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(m), x])

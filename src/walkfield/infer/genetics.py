@@ -144,12 +144,10 @@ def simulate_genetics(
     etas = []
     for _ in range(n_loci):
         mu = np.concatenate([[0.0], rng.normal(0.0, mu_sd, n_categories - 1)])
-        eta_full = np.empty((m, n_categories))
-        for k in range(n_categories):
-            # prior draw of the constrained field: unit driving noise pushed
-            # through the generator, sum-zero by construction
-            gamma = rng.standard_normal(m)
-            eta_full[:, k] = constrained_solve(Q, gamma - gamma.mean())
+        # prior draws of the locus's constrained fields, one column per
+        # category: unit driving noise pushed through the generator in one
+        # solve, sum-zero by construction
+        eta_full = constrained_solve(Q, rng.standard_normal((n_categories, m)).T)
         noise = rng.standard_normal((node_of_ind.size, 2, n_categories))
         lat = mu[None, None, :] + eta_full[node_of_ind][:, None, :] + noise
         alleles.append(lat.argmax(axis=2))
@@ -221,6 +219,7 @@ def fit_probit_genetics(
     logliks = np.empty(n_keep)
     kept = 0
     acc = 0
+    rejected = 0  # beta proposals refused on a NumericalError or DataError
     log_scale = math.log(0.1)
 
     slot_nodes = np.repeat(s_of_ind, 2)
@@ -325,6 +324,7 @@ def fit_probit_genetics(
             accept = math.log(rng.random()) < ratio
         except (NumericalError, DataError):
             accept = False
+            rejected += 1
         if accept:
             beta = prop
             P, B_chol, logdet_B = P_prop, B_chol_prop, logdet_B_prop
@@ -375,6 +375,7 @@ def fit_probit_genetics(
         "burnin": burnin,
         "thin": thin,
         "acceptance": {"beta": acc / iterations},
+        "rejected_proposals": rejected,
         "include_likelihood": include_likelihood,
     }
     return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)

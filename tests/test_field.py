@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import helmert
 
 from walkfield.errors import DataError, NumericalError
 from walkfield.field import (
@@ -178,3 +181,111 @@ class TestLogDensity:
         fld = IntrinsicField(Q)
         with pytest.raises(DataError):
             log_density(np.array([1.0, 1.0]), fld)
+
+
+# --- directed and long graphs against dense oracles ----------------------
+
+
+def dense_restricted_logdet(q):
+    """log det(F'QQ'F) for the Helmert basis F of the sum-zero subspace."""
+    f = helmert(q.shape[0]).T
+    sign, logdet = np.linalg.slogdet(f.T @ q @ q.T @ f)
+    assert sign == 1.0
+    return logdet
+
+
+def dense_sum_zero_solve(q, r):
+    """The x with Q'x = r - mean(r) and 1'x = 0, from the stacked system's pinv."""
+    m = q.shape[0]
+    stacked = np.vstack([q.T, np.ones((1, m))])
+    return np.linalg.pinv(stacked) @ np.concatenate([r - r.mean(), [0.0]])
+
+
+@st.composite
+def directed_generators(draw):
+    """Irreducible generators: a one-way cycle through every node plus random
+    extra edges, each rate drawn on its own, so in-rates differ from out-rates."""
+    m = draw(st.integers(3, 12))
+    rate = st.floats(0.2, 5.0)
+    rates = {(i, (i + 1) % m): draw(rate) for i in range(m)}
+    node = st.integers(0, m - 1)
+    for i, j in sorted(draw(st.sets(st.tuples(node, node), max_size=2 * m))):
+        if i != j and (i, j) not in rates:
+            rates[(i, j)] = draw(rate)
+    return generator_from_rates(m, rates)
+
+
+class TestDirectedAndLongGraphs:
+    @settings(max_examples=60, deadline=None)
+    @given(Q=directed_generators(), sigma=st.floats(0.5, 2.0), seed=st.integers(0, 2**31))
+    def test_field_matches_dense_oracles(self, Q, sigma, seed):
+        m = Q.dim
+        q = Q.dense()
+        fld = IntrinsicField(Q, sigma=sigma)
+        draws = sample_fields(fld, 4, seed=seed)
+        assert np.abs(draws.sum(axis=1)).max() < 1e-9
+        oracle_const = (-0.5 * (m - 1) * math.log(2 * math.pi * sigma**2)
+                        + 0.5 * dense_restricted_logdet(q))
+        for pi in draws:
+            oracle = oracle_const - 0.5 * float(pi @ q @ q.T @ pi) / sigma**2
+            assert log_density(pi, fld) == pytest.approx(oracle, rel=1e-9, abs=1e-8)
+        r = np.random.default_rng(seed).normal(size=m)
+        np.testing.assert_allclose(constrained_solve(Q, r), dense_sum_zero_solve(q, r),
+                                   atol=1e-9)
+
+    def test_three_node_directed_chain(self):
+        Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 2.0,
+                                     (1, 2): 0.5, (2, 1): 3.0})
+        fld = IntrinsicField(Q)
+        assert fld.logpdet == pytest.approx(dense_restricted_logdet(Q.dense()), abs=1e-12)
+        assert abs(sample_field(fld, 0).pi.sum()) < 1e-12
+        r = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_allclose(constrained_solve(Q, r),
+                                   dense_sum_zero_solve(Q.dense(), r), atol=1e-12)
+
+    def test_empirical_covariance_directed_chain(self):
+        Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 2.0,
+                                     (1, 2): 0.5, (2, 1): 3.0})
+        n = 20000
+        draws = sample_fields(IntrinsicField(Q, sigma=1.0), n, seed=0)
+        f = helmert(3).T
+        q = Q.dense()
+        cov = f @ np.linalg.inv(f.T @ q @ q.T @ f) @ f.T
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+        assert np.all(np.abs(np.cov(draws.T) - cov) <= 4.0 * se)
+
+    def test_block_solve_matches_columns(self):
+        rng = np.random.default_rng(41)
+        Q = sym_generator(rng, 9)
+        r = rng.normal(size=(9, 4))
+        block = constrained_solve(Q, r)
+        for k in range(4):
+            np.testing.assert_allclose(block[:, k], constrained_solve(Q, r[:, k]),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("m", [500, 1000])
+    def test_long_two_way_reach(self, m):
+        rates = {(i, i + 1): 1.0 for i in range(m - 1)}
+        rates.update({(i + 1, i): 1.0 for i in range(m - 1)})
+        Q = generator_from_rates(m, rates)
+        fld = IntrinsicField(Q)
+        assert fld.logpdet == pytest.approx(dense_restricted_logdet(Q.dense()),
+                                            abs=1e-7 * m)
+        # F'QF has the nonzero Laplacian eigenvalues of a path, whose
+        # product is m (one spanning tree times m nodes)
+        assert fld.logpdet == pytest.approx(2.0 * math.log(m), abs=1e-9)
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            pi = constrained_solve(Q, rng.standard_normal(m))
+            assert abs(pi.sum()) < 1e-9 * m
+
+    @pytest.mark.parametrize("rates", [
+        {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0},  # two components
+        {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},  # one-way chain, node 3 absorbs
+    ])
+    def test_reducible_generator_raises(self, rates):
+        Q = generator_from_rates(4, rates)
+        with pytest.raises(NumericalError):
+            IntrinsicField(Q)
+        with pytest.raises(NumericalError):
+            constrained_solve(Q, np.array([1.0, -1.0, 2.0, -2.0]))

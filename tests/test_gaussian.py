@@ -6,6 +6,7 @@ import pytest
 from walkfield.datasets import columbus_fixture
 from walkfield.errors import DataError
 from walkfield.field import constrained_solve
+from walkfield.graph import Edge, EdgeCovariates, SpatialGraph
 from walkfield.infer.gaussian import fit_gaussian, gaussian_loglik_fn, graph_generator
 from walkfield.infer.specs import (
     DIFFUSION,
@@ -168,3 +169,22 @@ class TestPosteriorRecovery:
         spec = make_spec(columbus, SPATIAL)
         s = fit_gaussian(spec, iterations=6000, burnin=3000, seed=6)
         assert s.metadata["acceptance"]["sigma"] == pytest.approx(0.44, abs=0.15)
+
+
+class TestDirectedGraph:
+    def test_eta_sums_to_zero_on_directed_cycle(self):
+        # distances drawn apart per direction: in-rates differ from
+        # out-rates, so the null vector of QQ' is not the constant vector
+        rng = np.random.default_rng(0)
+        m = 6
+        edges = []
+        for i in range(m):
+            j = (i + 1) % m
+            edges.append(Edge(i, j, EdgeCovariates(float(rng.uniform(0.5, 3.0)))))
+            edges.append(Edge(j, i, EdgeCovariates(float(rng.uniform(0.5, 3.0)))))
+        g = SpatialGraph(m, tuple(f"n{i}" for i in range(m)), tuple(edges))
+        spec = GaussianModelSpec(response=rng.normal(size=m), covariate=rng.normal(size=m),
+                                 variant=SPATIAL, graph=g)
+        s = fit_gaussian(spec, iterations=2000, burnin=500, seed=1)
+        eta = s.draws[:, [s.names.index(f"eta_{i}") for i in range(m)]]
+        assert np.abs(eta.sum(axis=1)).max() < 1e-9

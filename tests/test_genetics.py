@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from walkfield.datasets import stream_network
-from walkfield.errors import DataError
+from walkfield.errors import DataError, NumericalError
+from walkfield.infer import genetics
 from walkfield.infer.genetics import (
     category_probs,
     fit_probit_genetics,
@@ -149,6 +150,26 @@ class TestSampler:
         cols = [s.names.index(f"eta_0_0_{j}") for j in range(m)]
         np.testing.assert_allclose(s.draws[:, cols].sum(axis=1),
                                    np.zeros(s.n_draws), atol=1e-8)
+
+    def test_rejected_proposals_are_counted(self, small_sim, monkeypatch):
+        # the first call builds the starting precision; every later call
+        # forms one beta proposal's precision
+        spec, _ = small_sim
+        assert fit_probit_genetics(spec, iterations=30, burnin=10,
+                                   seed=2).metadata["rejected_proposals"] == 0
+        real = genetics._precision_bundle
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise NumericalError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(genetics, "_precision_bundle", failing)
+        s = fit_probit_genetics(spec, iterations=30, burnin=10, seed=2)
+        assert len(calls) == 31
+        assert s.metadata["rejected_proposals"] == 10
 
     def test_prior_audit_beta_and_mu(self, small_sim):
         # likelihood disabled: beta must sample N(0, rate_beta_sd^2),

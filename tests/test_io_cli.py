@@ -1,10 +1,12 @@
 """Serialization round-trips, config parsing, and the command-line interface."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from walkfield import cli
 from walkfield.cli import main
 from walkfield.datasets import columbus_fixture
 from walkfield.errors import ConfigError, DataError
@@ -286,6 +288,32 @@ def test_cli_fit_dic_diagnose_pipeline(tmp_path, cli_graph):
                  "--quiet"]) == 0
     report = json.loads((out_diag / "diagnostics.json").read_text())
     assert "mu" in report and "flagged" in report["mu"]
+
+
+def test_cli_manifest_wall_time_covers_the_fit(tmp_path, cli_graph, monkeypatch):
+    nodes, edges = cli_graph
+    data = tmp_path / "data.csv"
+    data.write_text("node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n")
+    cfg = write_cfg(
+        tmp_path,
+        f"nodes={nodes}\nedges={edges}\nsymmetric=true\nmodel=spatial\n"
+        f"data={data}\nresponse=y\ncovariate=h\niterations=300\nburnin=100\n",
+    )
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    assert main(["fit", "--config", str(cfg), "--seed", "5", "--out", str(fast),
+                 "--quiet"]) == 0
+    real, delay = cli.fit_gaussian, 0.5
+
+    def slow_fit(*args, **kwargs):
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_gaussian", slow_fit)
+    assert main(["fit", "--config", str(cfg), "--seed", "5", "--out", str(slow),
+                 "--quiet"]) == 0
+    manifest = json.loads((slow / "manifest.json").read_text())
+    assert manifest["wall_time_s"] >= delay
+    assert (slow / "samples.csv").read_bytes() == (fast / "samples.csv").read_bytes()
 
 
 def test_cli_convergence(tmp_path, cli_graph):
