@@ -94,15 +94,21 @@ def constrained_solve(Q: GeneratorMatrix, r: np.ndarray) -> np.ndarray:
     r is first projected onto range(Q') by removing its mean (column by
     column); the unique pi with 1'pi = 0 comes from the grounded LU of Q'.
     This is the constrained generalized inverse applied to r.
+
+    Each column must pass a backward-error test,
+    max|Q'pi - r~| <= 1e-10 * max(|Q'||pi| + |r~|): the residual is scaled
+    by the size of the terms that make it up, so accurate solves whose
+    |pi| grows with M (like M^1.5 on a long path) are not rejected.
     """
     m = Q.dim
     r = np.asarray(r, dtype=float)
     if r.ndim not in (1, 2) or r.shape[0] != m:
         raise DataError(f"right-hand side must have {m} rows")
     r_tilde = r - r.mean(axis=0)
-    pi = _GroundedLU(Q.matrix.T).solve(r_tilde)
-    resid = np.abs(Q.matrix.T @ pi - r_tilde).max(axis=0)
-    scale = np.maximum(np.abs(r_tilde).max(axis=0), 1.0)
+    qt = Q.matrix.T
+    pi = _GroundedLU(qt).solve(r_tilde)
+    resid = np.abs(qt @ pi - r_tilde).max(axis=0)
+    scale = (abs(qt) @ np.abs(pi) + np.abs(r_tilde)).max(axis=0)
     if not np.isfinite(pi).all() or np.any(resid > 1e-10 * scale):
         raise NumericalError(
             "constrained solve did not converge; check that Q is irreducible"

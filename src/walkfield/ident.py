@@ -8,6 +8,7 @@ the same QQ'.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 
@@ -106,8 +107,16 @@ def construct_confounded_pair(rates):
     return q, w
 
 
-def _fit_generator(logrates, pairs, dim):
-    return generator_from_rates(dim, {p: float(np.exp(x)) for p, x in zip(pairs, logrates)})
+def _fill_generator(logrates, off, rate, w):
+    """Dense W = diag(rowsum) - rate into ``w``, from log-rates on the ``off`` mask.
+
+    ``off`` is the off-diagonal mask, filled in row-major order, which is
+    the order of ``pairs`` in :func:`verify_unique`.  ``rate`` is a zeroed
+    work array whose diagonal stays 0.
+    """
+    rate[off] = np.exp(np.clip(logrates, -40, 40))
+    np.negative(rate, out=w)
+    w.flat[:: w.shape[0] + 1] = rate.sum(axis=1)
 
 
 def verify_unique(
@@ -126,6 +135,17 @@ def verify_unique(
     matches QQ' at ``match_tol`` while differing from Q by more than
     ``min_dist``.  A supporting check, not a proof.
 
+    True means only that 4000 Powell evaluations per start found nothing,
+    and as a search the probe is weak: on random 5-node graphs built as
+    a two-way path plus extra edges, Powell stops at ``maxfev`` with
+    sum((WW' - QQ')^2) between about 50 and 700, nowhere near Q.  A
+    converging ``scipy.optimize.least_squares`` run on the same full
+    off-diagonal support finds a distinct W with max|WW' - QQ'| ~ 4e-15
+    on 7 of 12 random IdentifiableByTheorem graphs (8 of 12 in a second
+    draw), and this function returns False when given such a W as a
+    candidate.  So the theorem as coded by :func:`check_identifiable` may
+    need the support of Q to be known.
+
     Explicit ``candidates`` (rate dicts) are polished first and bypass the
     identifiability precondition, so the loop counterexample can be planted.
     """
@@ -137,21 +157,26 @@ def verify_unique(
                 f"{report.classification}"
             )
     m = Q.dim
-    target = (Q.matrix @ Q.matrix.T).toarray()
+    q_dense = Q.dense()
+    target = q_dense @ q_dense.T
     scale = max(float(np.max(np.abs(target))), 1.0)
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-    q_dense = Q.dense()
     rng = np.random.default_rng(seed)
+    off = ~np.eye(m, dtype=bool)
+    rate = np.zeros((m, m))
+    w = np.empty((m, m))
+    d = np.empty((m, m))
 
     def objective(x):
-        w = _fit_generator(np.clip(x, -40, 40), pairs, m)
-        d = (w.matrix @ w.matrix.T).toarray() - target
-        return float(np.sum(d * d))
+        _fill_generator(x, off, rate, w)
+        np.dot(w, w.T, out=d)
+        np.subtract(d, target, out=d)
+        return float(np.vdot(d, d))
 
     def is_confounder(x):
-        w = _fit_generator(np.clip(x, -40, 40), pairs, m)
-        close = np.max(np.abs((w.matrix @ w.matrix.T).toarray() - target)) <= match_tol * scale
-        distinct = np.max(np.abs(w.dense() - q_dense)) > min_dist
+        objective(x)
+        close = np.max(np.abs(d)) <= match_tol * scale
+        distinct = np.max(np.abs(w - q_dense)) > min_dist
         return close and distinct
 
     starts = []
@@ -164,11 +189,19 @@ def verify_unique(
     for _ in range(trials):
         starts.append(rng.normal(base, 1.0, len(pairs)))
 
-    for x0 in starts:
-        res = minimize(
-            objective, x0, method="Powell",
-            options={"maxfev": 4000, "xtol": 1e-12, "ftol": 1e-16},
-        )
-        if is_confounder(res.x):
-            return False
-    return True
+    try:
+        for x0 in starts:
+            res = minimize(
+                objective, x0, method="Powell",
+                options={"maxfev": 4000, "xtol": 1e-12, "ftol": 1e-16},
+            )
+            if is_confounder(res.x):
+                return False
+        return True
+    finally:
+        # scipy's Powell line search recovers from each failed bracket by
+        # catching a BracketError; every caught error leaves a cycle
+        # (exception -> traceback -> frame) whose frames reach the caller's
+        # frame through f_back.  Until the cyclic collector runs, those
+        # cycles pin the caller's locals, so collect them here.
+        gc.collect()

@@ -11,6 +11,7 @@ from scipy.linalg import helmert
 from walkfield.errors import DataError, NumericalError
 from walkfield.field import (
     IntrinsicField,
+    _GroundedLU,
     constrained_solve,
     log_density,
     log_pseudo_det,
@@ -278,6 +279,32 @@ class TestDirectedAndLongGraphs:
         for _ in range(20):
             pi = constrained_solve(Q, rng.standard_normal(m))
             assert abs(pi.sum()) < 1e-9 * m
+
+    def test_very_long_reach_solves(self):
+        # |pi| grows like M^1.5 on a path: at M = 20000 max|pi| is ~3e5 and
+        # the residual ~5e-10, a backward error near machine precision
+        m = 20000
+        rates = {(i, i + 1): 1.0 for i in range(m - 1)}
+        rates.update({(i + 1, i): 1.0 for i in range(m - 1)})
+        Q = generator_from_rates(m, rates)
+        qt = Q.matrix.T
+        r = np.random.default_rng(m).standard_normal((m, 20))
+        r_tilde = r - r.mean(axis=0)
+        pi = constrained_solve(Q, r)
+        assert np.abs(pi.sum(axis=0)).max() < 1e-9 * m * np.abs(pi).max()
+        backward = (np.abs(qt @ pi - r_tilde).max(axis=0)
+                    / (abs(qt) @ np.abs(pi) + np.abs(r_tilde)).max(axis=0))
+        assert backward.max() < 1e-13
+
+    def test_inaccurate_solve_raises(self, monkeypatch):
+        # the backward-error test still rejects a solve that is off by 1e-6
+        Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 2.0,
+                                     (1, 2): 0.5, (2, 1): 3.0})
+        solve = _GroundedLU.solve
+        monkeypatch.setattr(_GroundedLU, "solve",
+                            lambda self, r: solve(self, r) * (1.0 + 1e-6))
+        with pytest.raises(NumericalError):
+            constrained_solve(Q, np.array([1.0, -2.0, 0.5]))
 
     @pytest.mark.parametrize("rates", [
         {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0},  # two components

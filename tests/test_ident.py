@@ -1,6 +1,8 @@
 """Identifiability classification and the confounded-cycle construction."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from walkfield.ident import (
     IDENTIFIABLE,
     LOOP,
     REDUCIBLE,
+    _fill_generator,
     check_identifiable,
     construct_confounded_pair,
     verify_unique,
@@ -103,3 +106,50 @@ class TestVerifyUnique:
         Q = directed_cycle([1.0, 2.0, 3.0])
         with pytest.raises(DataError):
             verify_unique(Q, trials=1, seed=0)
+
+    def test_does_not_pin_callers_locals(self):
+        # scipy's Powell line search leaves exception -> traceback -> frame
+        # cycles behind; their frames reach the caller's frame, so without a
+        # collection they keep the caller's arrays alive after it returns
+        g = line_graph(4)
+        Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, 0.0, 0.0))))
+
+        def caller():
+            held = np.ones(1000)
+            assert verify_unique(Q, 1, 0)
+            return weakref.ref(held)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = caller()
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestDenseGenerator:
+    """The probe's dense W against the sparse generator it replaces."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sparse_generator(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 7))
+        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+        x = rng.normal(0.0, 2.0, len(pairs))
+        x[rng.choice(len(pairs), 3, replace=False)] = [-30.0, -50.0, 50.0]
+        off = ~np.eye(m, dtype=bool)
+        rate, w = np.zeros((m, m)), np.empty((m, m))
+        _fill_generator(x, off, rate, w)
+        # the probe clips log-rates to [-40, 40]; -30 sinks an edge but keeps it
+        ref = generator_from_rates(
+            m, {p: float(np.exp(a)) for p, a in zip(pairs, np.clip(x, -40, 40))})
+        np.testing.assert_allclose(w, ref.dense(), rtol=1e-14, atol=0.0)
+
+        q = generator_from_rates(
+            m, {p: float(rng.uniform(0.5, 2.0)) for p in pairs if rng.random() < 0.6})
+        target = q.dense() @ q.dense().T
+        sparse_gap = (ref.matrix @ ref.matrix.T).toarray() - target
+        d = w @ w.T - target
+        assert np.vdot(d, d) == pytest.approx(float(np.sum(sparse_gap**2)), rel=1e-12)
