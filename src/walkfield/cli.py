@@ -247,14 +247,16 @@ def cmd_simulate_population(args):
     if _as_bool(cfg, "ode"):
         seed = None
         traj = integrate_limit_ode(Q, demo, z0, t_end, snapshot_every=snap)
+        events = None
     else:
         seed = _seed_of(args, cfg)
         N = _as_int(cfg, "N")
         n0 = np.rint(N * z0).astype(np.int64)
         traj = simulate_population(Q, demo, n0, N, t_end, seed, snap)
+        events = {"event_count": traj.event_count, "ended_early": traj.ended_early}
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_manifest(out / "manifest.json", "simulate-population", inputs + [cfg_path],
-                   seed, started, [out / "trajectory.csv"])
+                   seed, started, [out / "trajectory.csv"], extra=events)
     if not args.quiet:
         kind = "ode" if traj.kind == "density" else f"N={traj.scale}"
         print(f"simulate-population ({kind}): {traj.times.size} snapshots "

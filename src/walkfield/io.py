@@ -158,8 +158,11 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, command, inputs, seed, started, outputs):
-    """Run manifest: hashed inputs, seed, version, wall time, output list."""
+def write_manifest(path, command, inputs, seed, started, outputs, extra=None):
+    """Run manifest: hashed inputs, seed, version, wall time, output list.
+
+    ``extra`` adds command-specific entries, such as a simulator's event count.
+    """
     from . import __version__
 
     write_json(
@@ -170,6 +173,7 @@ def write_manifest(path, command, inputs, seed, started, outputs):
             "seed": seed,
             "version": __version__,
             "wall_time_s": time.time() - started,
+            **(extra or {}),
         },
         path,
     )

@@ -6,11 +6,21 @@ Removal rates do not depend on n_i, which would let counts go negative, so
 removal events at empty nodes are suppressed; a node re-enters the removal
 rate sum as soon as it is occupied.  As N grows, n(t)/N converges to the
 deterministic flow dz/dt = -Q'z + (b - d).
+
+The simulator is Gillespie's direct method.  The 3M event rates (births,
+then removals, then moves out of each node) sit in one binary sum tree, so
+choosing an event and updating the at most four rates it changes costs
+O(log M) per event rather than O(M).  The random draws and their order are
+those of a plain cumulative-sum search over the same rates: wherever the
+rate sums are exact (for instance with dyadic rates) a seed gives the same
+path either way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,6 +79,49 @@ def _snapshot_grid(t_end, snapshot_every):
     return grid
 
 
+def _sum_tree(leaves) -> list:
+    """Flat binary sum tree: leaf k at tree[size + k], tree[v] = tree[2v] + tree[2v+1].
+
+    ``size`` is ``len(tree) // 2``, a power of two; tree[1] is the total.
+    """
+    size = 1
+    while size < len(leaves):
+        size *= 2
+    tree = [0.0] * (2 * size)
+    tree[size:size + len(leaves)] = leaves
+    for v in range(size - 1, 0, -1):
+        tree[v] = tree[2 * v] + tree[2 * v + 1]
+    return tree
+
+
+def _set_leaf(tree: list, k: int, value: float) -> None:
+    """Set leaf k and recompute its ancestors from their children, so sums never drift."""
+    v = len(tree) // 2 + k
+    tree[v] = value
+    v >>= 1
+    while v:
+        tree[v] = tree[2 * v] + tree[2 * v + 1]
+        v >>= 1
+
+
+def _find_leaf(tree: list, u: float) -> int:
+    """Leaf k whose slice of [0, tree[1]) holds u; requires tree[1] > 0.
+
+    On exact sums this is ``searchsorted(cumsum(leaves), u, side="right")``.
+    The descent enters only children with a positive sum, so it returns a
+    positive leaf even when rounding puts u at or beyond the total.
+    """
+    size = len(tree) // 2
+    v = 1
+    while v < size:
+        v *= 2
+        left = tree[v]
+        if left <= 0.0 or (u >= left and tree[v + 1] > 0.0):
+            u -= left
+            v += 1
+    return v - size
+
+
 def simulate_population(
     Q: GeneratorMatrix,
     demo: DemographyRates,
@@ -89,14 +142,26 @@ def simulate_population(
     if not t_end > 0:
         raise DataError("t_end must be positive")
 
-    alpha = Q.rates.toarray()
-    alpha_i = alpha.sum(axis=1)
-    birth = N * demo.b
-    birth_total = birth.sum()
-    death = N * demo.d
+    alpha = Q.rates
+    alpha.sum_duplicates()  # canonical CSR: one entry per column, columns ascending
+    bounds = alpha.indptr.tolist()
+    targets = [alpha.indices[a:z].tolist() for a, z in zip(bounds, bounds[1:])]
+    row_cum = [list(accumulate(alpha.data[a:z].tolist())) for a, z in zip(bounds, bounds[1:])]
+    # the exit rate is the row's last partial sum, so w = U * alpha_i < row_cum[i][-1]
+    # and the target search cannot run past the row
+    alpha_i = [c[-1] if c else 0.0 for c in row_cum]
+    birth = (N * demo.b).tolist()
+    death = (N * demo.d).tolist()
+    counts = n.tolist()
+    tree = _sum_tree(
+        birth
+        + [death[i] if counts[i] > 0 else 0.0 for i in range(m)]
+        + [counts[i] * alpha_i[i] for i in range(m)]
+    )
 
     rng = np.random.default_rng(seed)
     grid = _snapshot_grid(t_end, snapshot_every)
+    grid_t = grid.tolist()
     snaps = np.empty((grid.size, m), dtype=np.int64)
     gi = 0
     t = 0.0
@@ -104,35 +169,40 @@ def simulate_population(
     ended_early = False
 
     while True:
-        occupied = n > 0
-        death_rates = np.where(occupied, death, 0.0)
-        move_rates = n * alpha_i
-        total = birth_total + death_rates.sum() + move_rates.sum()
+        total = tree[1]
         if total <= 0.0:
             ended_early = t < t_end
             break
         t_next = t + rng.exponential(1.0 / total)
-        while gi < grid.size and grid[gi] <= t_next:
-            snaps[gi] = n  # process is piecewise constant: carry state forward
+        while gi < grid.size and grid_t[gi] <= t_next:
+            snaps[gi] = counts  # process is piecewise constant: carry state forward
             gi += 1
         if gi >= grid.size:
             break
         t = t_next
-        u = rng.random() * total
-        if u < birth_total:
-            i = int(np.searchsorted(np.cumsum(birth), u, side="right"))
-            n[i] += 1
-        elif u < birth_total + death_rates.sum():
-            v = u - birth_total
-            i = int(np.searchsorted(np.cumsum(death_rates), v, side="right"))
-            n[i] -= 1
+        k = _find_leaf(tree, rng.random() * total)
+        if k < m:
+            i = k
+            counts[i] += 1
+            if counts[i] == 1 and death[i]:
+                _set_leaf(tree, m + i, death[i])
+        elif k < 2 * m:
+            i = k - m
+            counts[i] -= 1
+            if counts[i] == 0:
+                _set_leaf(tree, k, 0.0)
         else:
-            v = u - birth_total - death_rates.sum()
-            i = int(np.searchsorted(np.cumsum(move_rates), v, side="right"))
+            i = k - 2 * m
             w = rng.random() * alpha_i[i]
-            j = int(np.searchsorted(np.cumsum(alpha[i]), w, side="right"))
-            n[i] -= 1
-            n[j] += 1
+            j = targets[i][bisect_right(row_cum[i], w)]
+            counts[i] -= 1
+            counts[j] += 1
+            if counts[i] == 0 and death[i]:
+                _set_leaf(tree, m + i, 0.0)
+            if counts[j] == 1 and death[j]:
+                _set_leaf(tree, m + j, death[j])
+            _set_leaf(tree, 2 * m + j, counts[j] * alpha_i[j])
+        _set_leaf(tree, 2 * m + i, counts[i] * alpha_i[i])
         events += 1
         if events > max_events:
             exc = NumericalError(
@@ -147,7 +217,7 @@ def simulate_population(
 
     # remaining grid points see the final (constant) state
     while gi < grid.size:
-        snaps[gi] = n
+        snaps[gi] = counts
         gi += 1
 
     return PopulationTrajectory(

@@ -214,6 +214,11 @@ def test_cli_simulate_population_deterministic(tmp_path, cli_graph):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     header = (out1 / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,node_0,node_1,node_2,node_3"
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
+    for manifest in manifests:
+        assert isinstance(manifest["event_count"], int) and manifest["event_count"] > 0
+        assert manifest["ended_early"] is False
+    assert manifests[0]["event_count"] == manifests[1]["event_count"]
 
 
 def test_cli_missing_seed_is_config_error(tmp_path, cli_graph, capsys):

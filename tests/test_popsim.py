@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
-from walkfield.errors import DataError
+from walkfield.errors import DataError, NumericalError
 from walkfield.graph import generator_from_rates
 from walkfield.popsim import (
     DemographyRates,
+    PopulationTrajectory,
+    _find_leaf,
+    _snapshot_grid,
+    _sum_tree,
     convergence_gap,
     integrate_limit_ode,
     simulate_population,
@@ -27,6 +33,97 @@ def cycle4_Q():
 
 def no_demography(m):
     return DemographyRates(b=np.zeros(m), d=np.zeros(m))
+
+
+def random_directed_rates(rng, m, draw_rate):
+    """Irreducible directed rates: a cycle through a random order plus random extra edges."""
+    order = rng.permutation(m)
+    rates = {(int(order[k]), int(order[(k + 1) % m])): draw_rate() for k in range(m)}
+    for i in range(m):
+        for j in range(m):
+            if i != j and (i, j) not in rates and rng.random() < 0.3:
+                rates[(i, j)] = draw_rate()
+    return rates
+
+
+def dense_generator(m, rates):
+    """Positive-diagonal generator from a rate dict, built without walkfield."""
+    q = np.zeros((m, m))
+    for (i, j), a in rates.items():
+        q[i, j] -= a
+        q[i, i] += a
+    return q
+
+
+def _reference_simulate(Q, demo, n0, N, t_end, seed, snapshot_every,
+                        max_events=50_000_000):
+    """The simulator as it was before the sum tree: O(M) cumsum searches per event.
+
+    Kept as the oracle for the seeded paths of ``simulate_population``.
+    """
+    m = Q.dim
+    n = np.asarray(n0, dtype=np.int64).copy()
+    alpha = Q.rates.toarray()
+    alpha_i = alpha.sum(axis=1)
+    birth = N * demo.b
+    birth_total = birth.sum()
+    death = N * demo.d
+
+    rng = np.random.default_rng(seed)
+    grid = _snapshot_grid(t_end, snapshot_every)
+    snaps = np.empty((grid.size, m), dtype=np.int64)
+    gi = 0
+    t = 0.0
+    events = 0
+    ended_early = False
+
+    while True:
+        occupied = n > 0
+        death_rates = np.where(occupied, death, 0.0)
+        move_rates = n * alpha_i
+        total = birth_total + death_rates.sum() + move_rates.sum()
+        if total <= 0.0:
+            ended_early = t < t_end
+            break
+        t_next = t + rng.exponential(1.0 / total)
+        while gi < grid.size and grid[gi] <= t_next:
+            snaps[gi] = n
+            gi += 1
+        if gi >= grid.size:
+            break
+        t = t_next
+        u = rng.random() * total
+        if u < birth_total:
+            i = int(np.searchsorted(np.cumsum(birth), u, side="right"))
+            n[i] += 1
+        elif u < birth_total + death_rates.sum():
+            v = u - birth_total
+            i = int(np.searchsorted(np.cumsum(death_rates), v, side="right"))
+            n[i] -= 1
+        else:
+            v = u - birth_total - death_rates.sum()
+            i = int(np.searchsorted(np.cumsum(move_rates), v, side="right"))
+            w = rng.random() * alpha_i[i]
+            j = int(np.searchsorted(np.cumsum(alpha[i]), w, side="right"))
+            n[i] -= 1
+            n[j] += 1
+        events += 1
+        if events > max_events:
+            exc = NumericalError(f"event cap {max_events} exceeded")
+            exc.partial = PopulationTrajectory(
+                times=grid[:gi], values=snaps[:gi], kind="counts", scale=N,
+                event_count=events, rng_seed=seed, ended_early=True,
+            )
+            raise exc
+
+    while gi < grid.size:
+        snaps[gi] = n
+        gi += 1
+
+    return PopulationTrajectory(
+        times=grid, values=snaps, kind="counts", scale=N, event_count=events,
+        rng_seed=seed, ended_early=ended_early,
+    )
 
 
 class TestJumpProcess:
@@ -64,8 +161,6 @@ class TestJumpProcess:
                                 1.0, seed=0, snapshot_every=0.5)
 
     def test_event_cap_raises_with_partial_trajectory(self):
-        from walkfield.errors import NumericalError
-
         Q = two_node_Q(50.0, 50.0)
         with pytest.raises(NumericalError) as info:
             simulate_population(Q, no_demography(2), [500, 500], 1000, 10.0,
@@ -82,6 +177,128 @@ class TestJumpProcess:
                                    snapshot_every=10.0)
         assert traj.ended_early
         np.testing.assert_array_equal(traj.values[-1], [0, 0])
+
+
+def _dyadic(rng, low, high):
+    return 2.0 ** int(rng.integers(low, high + 1))
+
+
+def _dyadic_case(seed):
+    """A random directed graph with power-of-two rates, births and deaths (some 0)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 9))
+    Q = generator_from_rates(m, random_directed_rates(rng, m, lambda: _dyadic(rng, -2, 2)))
+    b = np.array([_dyadic(rng, -4, 0) if rng.random() < 0.6 else 0.0 for _ in range(m)])
+    d = np.array([_dyadic(rng, -4, 0) if rng.random() < 0.6 else 0.0 for _ in range(m)])
+    n0 = rng.integers(0, 12, size=m)
+    N = int(rng.integers(1, 40))
+    return Q, DemographyRates(b=b, d=d), n0, N
+
+
+def _assert_same_path(a, b):
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.values, b.values)
+    assert a.event_count == b.event_count
+    assert a.ended_early == b.ended_early
+
+
+class TestSumTreeIdentity:
+    """With exact (dyadic) rate sums the tree must reproduce the cumsum loop's paths."""
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_reference_loop(self, seed):
+        Q, demo, n0, N = _dyadic_case(seed)
+        args = (Q, demo, n0, N, 3.0, 1000 + seed, 0.25)
+        _assert_same_path(simulate_population(*args), _reference_simulate(*args))
+
+    def test_extinction_matches_reference_loop(self):
+        rng = np.random.default_rng(77)
+        Q = generator_from_rates(5, random_directed_rates(rng, 5, lambda: _dyadic(rng, -2, 2)))
+        demo = DemographyRates(b=np.zeros(5), d=np.array([4.0, 2.0, 8.0, 0.5, 1.0]))
+        args = (Q, demo, [3, 0, 2, 5, 1], 8, 50.0, 5, 1.0)
+        new = simulate_population(*args)
+        assert new.ended_early
+        assert new.values[-1].sum() == 0
+        _assert_same_path(new, _reference_simulate(*args))
+
+    def test_event_cap_partial_matches_reference_loop(self):
+        Q, demo, n0, N = _dyadic_case(3)
+        args = (Q, demo, n0, N, 100.0, 11, 0.5)
+        with pytest.raises(NumericalError) as new:
+            simulate_population(*args, max_events=300)
+        with pytest.raises(NumericalError) as ref:
+            _reference_simulate(*args, max_events=300)
+        assert 0 < new.value.partial.times.size < 201
+        _assert_same_path(new.value.partial, ref.value.partial)
+
+
+class TestFindLeaf:
+    LEAVES = [0.0, 0.0, 1.5, 0.0, 0.25, 0.0, 0.0, 2.0, 0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("where", ["zero", "total", "above"])
+    def test_edges_land_on_positive_leaf(self, where):
+        tree = _sum_tree(self.LEAVES)
+        total = tree[1]
+        u = {"zero": 0.0, "total": total, "above": np.nextafter(total, np.inf)}[where]
+        k = _find_leaf(tree, u)
+        assert 0 <= k < len(self.LEAVES)
+        assert self.LEAVES[k] > 0.0
+
+    def test_zero_u_picks_first_positive_leaf(self):
+        assert _find_leaf(_sum_tree(self.LEAVES), 0.0) == 2
+
+    def test_agrees_with_cumsum_search_on_dyadic_leaves(self):
+        rng = np.random.default_rng(4)
+        for size in (1, 2, 3, 7, 8, 13, 40):
+            leaves = [_dyadic(rng, -3, 3) if rng.random() < 0.7 else 0.0
+                      for _ in range(size)]
+            leaves[int(rng.integers(size))] = 1.0
+            tree = _sum_tree(leaves)
+            cum = np.cumsum(leaves)
+            assert tree[1] == cum[-1]
+            for u in rng.random(200) * tree[1]:
+                assert _find_leaf(tree, u) == int(np.searchsorted(cum, u, side="right"))
+
+
+class TestPopulationLaw:
+    """The law of n(t) on directed graphs with non-dyadic rates, against scipy oracles."""
+
+    REPS = 400
+
+    def _case(self, seed, m):
+        rng = np.random.default_rng(seed)
+        rates = random_directed_rates(rng, m, lambda: float(rng.uniform(0.5, 2.0)))
+        return rng, rates, generator_from_rates(m, rates), dense_generator(m, rates)
+
+    def test_closed_population_mean_is_expm(self):
+        m, t = 5, 0.7
+        rng, _, Q, q = self._case(21, m)
+        n0 = rng.integers(0, 8, size=m)
+        finals = np.array([
+            simulate_population(Q, no_demography(m), n0, 20, t, seed, t).values[-1]
+            for seed in range(self.REPS)
+        ])
+        P = expm(-q * t)
+        mean = n0 @ P
+        # walkers move independently: n_j(t) is a sum of Bernoulli(P_ij) over walkers
+        var = n0 @ (P * (1.0 - P))
+        assert (finals.sum(axis=1) == n0.sum()).all()
+        se = np.sqrt(var / self.REPS)
+        assert (np.abs(finals.mean(axis=0) - mean) <= 6.0 * se).all()
+
+    def test_immigration_counts_are_poisson_with_integrated_mean(self):
+        m, t, N = 4, 1.2, 10
+        rng, _, Q, q = self._case(22, m)
+        b = rng.uniform(0.2, 1.0, size=m)
+        demo = DemographyRates(b=b, d=np.zeros(m))
+        finals = np.array([
+            simulate_population(Q, demo, np.zeros(m, dtype=int), N, t, seed, t).values[-1]
+            for seed in range(self.REPS)
+        ])
+        mean, _ = quad_vec(lambda s: expm(-q.T * s) @ b, 0.0, t, epsabs=1e-12)
+        mean = N * mean
+        se = np.sqrt(mean / self.REPS)
+        assert (np.abs(finals.mean(axis=0) - mean) <= 6.0 * se).all()
 
 
 class TestLimitODE:
