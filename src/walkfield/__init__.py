@@ -24,6 +24,7 @@ from .graph import (
     Edge,
     EdgeCovariates,
     GeneratorMatrix,
+    RateModel,
     RateParams,
     SpatialGraph,
     build_generator,
@@ -58,6 +59,7 @@ __all__ = [
     "IntrinsicField",
     "NumericalError",
     "PopulationTrajectory",
+    "RateModel",
     "RateParams",
     "SpatialGraph",
     "WalkfieldError",

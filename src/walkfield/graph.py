@@ -100,30 +100,67 @@ class RateParams:
             raise ConfigError("rate coefficients must be finite")
 
 
+class RateModel:
+    """Log-linear edge rates for one graph and coefficient names, compiled once.
+
+    Holds the edge endpoints ``src``/``dst``, the (E x p) ``design`` with
+    columns (1, downstream, barrier, *extras) and the edge ``distance``, so
+    that :meth:`rates` is a few array operations per call.  A missing extra
+    covariate raises :class:`ConfigError` here, not at the first evaluation.
+    """
+
+    def __init__(self, graph: SpatialGraph, extra_names=()):
+        extra_names = tuple(extra_names)
+        edges = graph.edges
+        self.src = np.array([e.src for e in edges], dtype=np.intp)
+        self.dst = np.array([e.dst for e in edges], dtype=np.intp)
+        self.distance = np.array([e.cov.distance for e in edges], dtype=float)
+        design = np.ones((len(edges), 3 + len(extra_names)))
+        design[:, 1] = [e.cov.downstream for e in edges]
+        design[:, 2] = [e.cov.barrier for e in edges]
+        if extra_names:
+            for i, e in enumerate(edges):
+                extras = dict(e.cov.extras)
+                for j, name in enumerate(extra_names):
+                    if name not in extras:
+                        raise ConfigError(
+                            f"edge ({e.src},{e.dst}) is missing covariate '{name}'"
+                        )
+                    design[i, 3 + j] = extras[name]
+        self.design = design
+
+    def rates(self, beta) -> np.ndarray:
+        """alpha_e = (1/d_e) exp(x_e'beta) per edge, in the graph's edge order.
+
+        The linear predictor is accumulated column by column, the order of
+        the scalar formula, and is guarded against overflowing exp.
+        """
+        if len(beta) != self.design.shape[1]:
+            raise ConfigError(
+                f"expected {self.design.shape[1]} rate coefficients, got {len(beta)}"
+            )
+        lp = self.design[:, 0] * beta[0]
+        for j in range(1, len(beta)):
+            lp = lp + beta[j] * self.design[:, j]
+        bad = np.flatnonzero(np.abs(lp) > LINPRED_LIMIT)
+        if bad.size:
+            e = bad[0]
+            raise NumericalError(
+                f"linear predictor {lp[e]:.3g} on edge ({self.src[e]},{self.dst[e]}) "
+                f"exceeds the overflow guard ({LINPRED_LIMIT:g})"
+            )
+        return np.exp(lp) / self.distance
+
+
 def edge_rates_loglinear(graph: SpatialGraph, params: RateParams) -> dict:
     """Per-edge transition rates alpha = (1/d) * exp{b0 + b1*u + b2*v + extras}.
 
     Returns a dict keyed by (src, dst).  Raises on missing extra covariates
     and on linear predictors that would overflow exp.
     """
-    b0, b1, b2 = params.beta[:3]
-    rates = {}
-    for e in graph.edges:
-        extras = dict(e.cov.extras)
-        lp = b0 + b1 * e.cov.downstream + b2 * e.cov.barrier
-        for name, coef in zip(params.extra_names, params.beta[3:]):
-            if name not in extras:
-                raise ConfigError(
-                    f"edge ({e.src},{e.dst}) is missing covariate '{name}'"
-                )
-            lp += coef * extras[name]
-        if abs(lp) > LINPRED_LIMIT:
-            raise NumericalError(
-                f"linear predictor {lp:.3g} on edge ({e.src},{e.dst}) "
-                f"exceeds the overflow guard ({LINPRED_LIMIT:g})"
-            )
-        rates[(e.src, e.dst)] = math.exp(lp) / e.cov.distance
-    return rates
+    model = RateModel(graph, params.extra_names)
+    keys = zip(model.src.tolist(), model.dst.tolist())
+    return dict(zip(keys, model.rates(params.beta).tolist()))
 
 
 @dataclass(frozen=True)

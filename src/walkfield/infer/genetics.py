@@ -10,23 +10,41 @@ the fields are integrated out of the latent likelihood analytically, then
 redrawn from their full conditional.  A beta proposal changes Q, so the
 precision and its determinant terms are recomputed per proposal; the
 normalizing constant is what lets the data inform beta.
+
+Everything one beta determines is formed once.  ``_precision_bundle`` runs
+once per beta proposal: it evaluates the rates of a compiled ``RateModel``,
+forms P = QQ' densely with the summation order of the sparse product, and
+factors the collapsed model.  The field full conditional is factored once,
+when the chain moves to a beta; the field update itself factors nothing.
+A bundle or factor that cannot be formed raises ``NumericalError``, and
+the proposal is rejected and counted.  The fields are the columns of one
+(M, sum K) block, so the node scatter, the solves and the field noise are
+one call each per sweep.  The random stream is consumed in the same order
+as by per-field loops, so seeded chains equal those of the per-field
+sampler up to roundoff.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, helmert, solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ..errors import DataError, NumericalError
-from ..field import constrained_solve, stationary_precision
-from ..graph import RateParams, build_generator, check_irreducible, edge_rates_loglinear
+# stationary_precision is no longer called here; it stays importable under
+# this module, where bench/spans.py wraps it with the other layer calls
+from ..field import constrained_solve, stationary_precision  # noqa: F401
+from ..graph import RateModel, RateParams, build_generator, check_irreducible, edge_rates_loglinear
 from .specs import GeneticsModelSpec, PosteriorSamples
 
 BETA_TARGET_ACC = 0.234
 _TAIL = 6.0
+# probabilists' Gauss-Hermite rule, weights scaled to an N(0, 1) expectation
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(40)
+_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(2.0 * math.pi)
 
 
 def truncated_normal(rng, mean, lower=None, upper=None):
@@ -40,27 +58,43 @@ def truncated_normal(rng, mean, lower=None, upper=None):
     if (lower is None) == (upper is None):
         raise ValueError("exactly one of lower/upper must be given")
     if lower is not None:
-        a = np.broadcast_to(np.asarray(lower, dtype=float) - mean, mean.shape)
-        out = _std_lower_trunc(rng, a.ravel()).reshape(mean.shape)
-        return mean + out
-    b = np.broadcast_to(np.asarray(upper, dtype=float) - mean, mean.shape)
+        a = _gap(lower, mean)
+        return mean + _std_lower_trunc(rng, a.ravel()).reshape(mean.shape)
+    b = _gap(upper, mean)
     return mean - _std_lower_trunc(rng, (-b).ravel()).reshape(mean.shape)
 
 
+def _gap(bound, mean):
+    d = np.asarray(bound, dtype=float) - mean
+    return d if d.shape == mean.shape else np.broadcast_to(d, mean.shape)
+
+
 def _std_lower_trunc(rng, a):
-    """Standard normal conditioned on exceeding a (vector), seedable and exact."""
-    out = np.empty_like(a)
+    """Standard normal conditioned on exceeding a (vector), seedable and exact.
+
+    The central entries take one uniform each, in order, then the tail
+    entries run Robert's sampler in order.
+    """
+    if np.maximum.reduce(a, initial=-np.inf) < _TAIL:
+        return _central_trunc(rng, a)
     central = a < _TAIL
-    if central.any():
-        ac = a[central]
-        u = rng.uniform(ndtr(ac), 1.0)
-        # clip away from 1.0: ndtri(1.0) is inf
-        out[central] = ndtri(np.minimum(u, 1.0 - 1e-16))
-    if (~central).any():
-        idx = np.flatnonzero(~central)
-        for i in idx:
-            out[i] = _robert_tail(rng, a[i])
+    out = np.empty_like(a)
+    out[central] = _central_trunc(rng, a[central])
+    for i in np.flatnonzero(~central):
+        out[i] = _robert_tail(rng, a[i])
     return out
+
+
+def _central_trunc(rng, a):
+    lo = ndtr(a)
+    # lo + (1 - lo) * U: the doubles rng.uniform(lo, 1.0) returns, without
+    # its broadcasting
+    u = rng.random(a.size)
+    u *= 1.0 - lo
+    u += lo
+    # clip away from 1.0: ndtri(1.0) is inf
+    np.minimum(u, 1.0 - 1e-16, out=u)
+    return ndtri(u, out=u)
 
 
 def _robert_tail(rng, a):
@@ -72,27 +106,21 @@ def _robert_tail(rng, a):
             return x
 
 
-def category_probs(means: np.ndarray, n_quad: int = 40) -> np.ndarray:
+def category_probs(means: np.ndarray) -> np.ndarray:
     """P(category k attains the max) for latents N(means_k, 1), per row.
 
     Gauss-Hermite quadrature over the winning latent:
     p_k = E_t[ prod_{a != k} Phi(t + m_k - m_a) ] with t ~ N(0, 1).
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    n, k = means.shape
-    # t + m_k - m_a for every (row, k, a, node)
-    diff = means[:, :, None, None] - means[:, None, :, None] + nodes[None, None, None, :]
-    logcdf = log_ndtr(diff)
-    for a in range(k):
-        logcdf[:, a, a, :] = 0.0
-    inner = np.exp(logcdf.sum(axis=2))  # (n, k, n_quad)
-    return inner @ weights
-
-
-def _rate_params(spec, beta_vec):
-    return RateParams(tuple(beta_vec), spec.extra_rate_names)
+    k = means.shape[1]
+    # others[c] lists the categories a != c in increasing order
+    cols = np.arange(k - 1)
+    others = cols + (cols >= np.arange(k)[:, None])
+    # t + m_k - m_a for every (row, k, a != k, node)
+    diff = (means[:, :, None] - means[:, others])[..., None] + _GH_NODES
+    inner = np.exp(log_ndtr(diff).sum(axis=2))  # (n, k, n_quad)
+    return inner @ _GH_WEIGHTS
 
 
 def _sum_zero_basis(m):
@@ -100,26 +128,105 @@ def _sum_zero_basis(m):
     return helmert(m).T
 
 
-def _precision_bundle(spec, beta_vec, F):
-    """Precision of the constrained field for given rate coefficients.
+class _Bundle(NamedTuple):
+    """What one beta determines for the collapsed likelihood."""
 
-    Returns (P, B_chol, logdet_B) where P = QQ' and B = F'PF is the
-    precision restricted to the sum-zero subspace.  With asymmetric rates
-    P's null vector is not the constant vector, so the restriction — not
-    the pseudo-determinant — is the right normalizing object.
-    """
-    rates = edge_rates_loglinear(spec.graph, _rate_params(spec, beta_vec))
-    Q = build_generator(spec.graph, rates)
-    P = stationary_precision(Q).toarray()
-    B = F.T @ P @ F
+    P: np.ndarray  # QQ'
+    cap_chol: np.ndarray  # lower Cholesky factor of F'PF + F'G'GF
+    logdet_c: float  # log det(F'PF + F'G'GF) - log det(F'PF)
+
+
+class _FieldFactor(NamedTuple):
+    """The field full conditional's precision A = G'G + P, shifted along 1."""
+
+    chol: np.ndarray  # lower Cholesky factor of A + shift 11'
+    u: np.ndarray  # (A + shift 11')^-1 1
+    uu: float  # 1'u
+
+
+def _cholesky(a, what):
     try:
-        B_chol = np.linalg.cholesky((B + B.T) / 2.0)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "constrained field precision is not positive definite"
-        ) from exc
+        raise NumericalError(f"{what} is not positive definite") from exc
+
+
+class _PrecisionPattern:
+    """P = QQ' for a compiled rate model, dense, bitwise as the sparse product.
+
+    Q's nonzeros are fixed by the graph, so the terms Q_ij Q_kj of every
+    P_ik are listed once.  Each P_ik is then summed from zero over j in
+    increasing order, and each exit rate Q_ii over the row's edges in
+    column order: the arithmetic of ``stationary_precision`` on the sparse
+    generator.  Whether a nearly singular F'PF factors therefore does not
+    depend on which of the two forms it.
+    """
+
+    def __init__(self, rate_model, m):
+        self.rate_model = rate_model
+        self.m = m
+        src, dst = rate_model.src, rate_model.dst
+        self.order = np.lexsort((dst, src))  # edges by row, then column
+        self.src_sorted = src[self.order]
+        self.exits = np.unique(src)  # nodes whose diagonal entry is stored
+        # nonzeros of Q: first the edges in self.order, then the diagonal
+        rows = np.concatenate([self.src_sorted, self.exits])
+        cols = np.concatenate([dst[self.order], self.exits])
+        by_row = np.lexsort((cols, rows))
+        in_col = [[] for _ in range(m)]
+        for e in range(rows.size):
+            in_col[cols[e]].append(e)
+        out, a, b = [], [], []
+        for e in by_row:
+            for f in in_col[cols[e]]:
+                out.append(rows[e] * m + rows[f])
+                a.append(e)
+                b.append(f)
+        self.out = np.array(out, dtype=np.intp)
+        self.a = np.array(a, dtype=np.intp)
+        self.b = np.array(b, dtype=np.intp)
+
+    def __call__(self, beta):
+        m = self.m
+        rates = self.rate_model.rates(beta)[self.order]
+        diag = np.bincount(self.src_sorted, weights=rates, minlength=m)
+        q = np.concatenate([-rates, diag[self.exits]])
+        P = np.bincount(self.out, weights=q[self.a] * q[self.b], minlength=m * m)
+        P = P.reshape(m, m)
+        return (P + P.T) * 0.5
+
+
+def _precision_bundle(precision, beta_vec, F, K_slots):
+    """Precision of the constrained field, and the collapsed factor, for a beta.
+
+    P = QQ' and B = F'PF is the precision restricted to the sum-zero
+    subspace.  With asymmetric rates P's null vector is not the constant
+    vector, so the restriction — not the pseudo-determinant — is the right
+    normalizing object.  ``K_slots`` = F'G'GF for the node-to-slot
+    incidence G (zero in prior mode).
+    """
+    P = precision(beta_vec)
+    B = F.T @ P @ F
+    B = (B + B.T) / 2.0
+    B_chol = _cholesky(B, "constrained field precision")
     logdet_B = 2.0 * float(np.log(np.diag(B_chol)).sum())
-    return P, B_chol, logdet_B
+    cap_chol = _cholesky(B + K_slots, "collapsed covariance")
+    logdet_c = 2.0 * float(np.log(np.diag(cap_chol)).sum()) - logdet_B
+    return _Bundle(P, cap_chol, logdet_c)
+
+
+def _field_factor(P, slot_counts):
+    """Factor of the field full conditional for precision P and slot counts G'G.
+
+    A rank-one shift along 1 makes the precision invertible without
+    changing the conditional distribution on the sum-zero subspace.
+    """
+    m = P.shape[0]
+    A = np.diag(slot_counts) + P
+    shift = max(float(np.trace(A)) / m, 1.0) / m
+    L = _cholesky(A + shift, "field full-conditional precision")
+    u = cho_solve((L, True), np.ones(m))
+    return _FieldFactor(L, u, float(u.sum()))
 
 
 def simulate_genetics(
@@ -178,7 +285,10 @@ def fit_probit_genetics(
     The per-draw log-likelihood marginalizes the latents via quadrature
     over category-max probabilities (used for diagnostics, not for any
     update).  ``include_likelihood=False`` freezes the latents out of every
-    update, reducing each step to its prior (Gibbs audit mode).
+    update, reducing each step to its prior (Gibbs audit mode).  The
+    metadata record the beta acceptance rate, the proposals rejected on a
+    ``NumericalError`` and the final beta step, ``beta_step``, which stops
+    adapting at the end of burn-in.
     """
     pr = spec.priors
     m = spec.graph.node_count
@@ -188,30 +298,71 @@ def fit_probit_genetics(
     rng = np.random.default_rng(seed)
     like = 1.0 if include_likelihood else 0.0
 
+    precision = _PrecisionPattern(RateModel(spec.graph, spec.extra_rate_names), m)
     beta = np.zeros(n_beta)
-    F = _sum_zero_basis(m)
-    P, B_chol, logdet_B = _precision_bundle(spec, beta, F)
-    Q0 = build_generator(spec.graph, edge_rates_loglinear(spec.graph, _rate_params(spec, beta)))
+    rates0 = edge_rates_loglinear(spec.graph, RateParams(tuple(beta), spec.extra_rate_names))
+    Q0 = build_generator(spec.graph, rates0)
     if not check_irreducible(Q0):
         raise DataError("graph must be irreducible under the rate model")
 
-    # per-node slot counts (2 ploidy slots per individual) and scatter index
+    F = _sum_zero_basis(m)
+    # per-node slot counts (2 ploidy slots per individual)
     node_counts = np.bincount(s_of_ind, minlength=m) * 2.0
-    mu = [np.zeros(k) for k in spec.n_categories]
-    eta = [np.zeros((m, k)) for k in spec.n_categories]
-    z = [rng.standard_normal((n_ind, 2, k)) for k in spec.n_categories]
-    # start latents consistent with the observed argmax constraint
-    for l, k in enumerate(spec.n_categories):
+    slot_counts = like * node_counts
+    K_slots = like * ((F * node_counts[:, None]).T @ F)  # F' G'G F, beta-independent
+    bundle = _precision_bundle(precision, beta, F, K_slots)
+    field = _field_factor(bundle.P, slot_counts)
+
+    # the sum(K) fields in (locus, category) order: latents z as one
+    # (field, individual, ploidy) array, fields eta as the columns of one
+    # (node, field) block, intercepts mu as one vector
+    n_cats = spec.n_categories
+    n_fields = int(sum(n_cats))
+    offsets = np.concatenate([[0], np.cumsum(n_cats)[:-1]]).astype(int)
+    z = np.empty((n_fields, n_ind, 2))
+    for l, k in enumerate(n_cats):
+        zl = rng.standard_normal((n_ind, 2, k))
+        # start latents consistent with the observed argmax constraint
         obs = spec.alleles[l]
         for p in range(2):
             rows = np.arange(n_ind)
-            zmax = z[l][:, p, :].max(axis=1)
-            z[l][rows, p, obs[:, p]] = zmax + 0.5
+            zmax = zl[:, p, :].max(axis=1)
+            zl[rows, p, obs[:, p]] = zmax + 0.5
+        z[offsets[l]:offsets[l] + k] = zl.transpose(2, 0, 1)
+    mu = np.zeros(n_fields)
+    eta = np.zeros((m, n_fields))
+    free_mu = np.concatenate([off + np.arange(1, k) for off, k in zip(offsets, n_cats)])
+
+    # The alleles are fixed, so each (locus, ploidy, category) update of the
+    # latent sweep touches the same entries every sweep: flat indices into z
+    # and into the (individual, field) means, for the rows the category wins
+    # and the rows it loses.
+    n_slots = 2 * n_ind
+    sweep_plan = []
+    for l, k in enumerate(n_cats):
+        off = offsets[l]
+        for p in range(2):
+            winner = spec.alleles[l][:, p]
+            for cat in range(k):
+                win = np.flatnonzero(winner == cat)
+                lose = np.flatnonzero(winner != cat)
+                others = off + np.array([c for c in range(k) if c != cat])
+                sweep_plan.append((
+                    (off + cat) * n_slots + 2 * win + p,
+                    win * n_fields + off + cat,
+                    others[:, None] * n_slots + 2 * win + p,
+                    (off + cat) * n_slots + 2 * lose + p,
+                    lose * n_fields + off + cat,
+                    (off + winner[lose]) * n_slots + 2 * lose + p,
+                ))
+    # one bincount scatters every field's slots to its own block of nodes
+    slot_nodes = np.repeat(s_of_ind, 2)
+    field_bins = (slot_nodes[None, :] + m * np.arange(n_fields)[:, None]).ravel()
 
     names = [f"beta_{j}" for j in range(n_beta)]
-    for l, k in enumerate(spec.n_categories):
+    for l, k in enumerate(n_cats):
         names += [f"mu_{l}_{kk}" for kk in range(1, k)]
-    for l, k in enumerate(spec.n_categories):
+    for l, k in enumerate(n_cats):
         names += [f"eta_{l}_{kk}_{s}" for kk in range(k) for s in range(m)]
 
     n_keep = (iterations - burnin + thin - 1) // thin
@@ -219,89 +370,63 @@ def fit_probit_genetics(
     logliks = np.empty(n_keep)
     kept = 0
     acc = 0
-    rejected = 0  # beta proposals refused on a NumericalError or DataError
+    rejected = 0  # beta proposals refused on a NumericalError
     log_scale = math.log(0.1)
+    mu_prec = like * 2.0 * n_ind + 1.0 / pr.mu_lk_sd**2
+    loglik_const = 0.5 * n_fields * 2.0 * n_ind * math.log(2.0 * math.pi)
 
-    slot_nodes = np.repeat(s_of_ind, 2)
-    n_fields = int(sum(spec.n_categories))
-
-    K_slots = (F * node_counts[:, None]).T @ F  # F' G'G F, beta-independent
-
-    def collapsed_loglik(chol_B, ldet_B):
+    def collapsed_loglik(b, Ft, vv):
         """Log p(z | mu, beta) with every spatial field integrated out.
 
         Per field the latents are N(mu, G Sigma G' + I) for the
         node-to-slot incidence G and Sigma the sum-zero-constrained inverse
         of QQ'; Woodbury in the (M-1)-dim constraint basis keeps this cheap.
+        ``Ft`` holds F'G'(z - mu) for every field and ``vv`` the summed
+        squares of z - mu.
         """
-        B = chol_B @ chol_B.T
-        cap = B + K_slots
-        try:
-            cK = np.linalg.cholesky(cap)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("collapsed covariance not positive definite") from exc
-        logdet_c = 2.0 * float(np.log(np.diag(cK)).sum()) - ldet_B
-        quad = 0.0
-        for l, k in enumerate(spec.n_categories):
-            zc = z[l] - mu[l][None, None, :]
-            for cat in range(k):
-                v = zc[:, :, cat].ravel()
-                node_sum = np.bincount(slot_nodes, weights=v, minlength=m)
-                t = F.T @ node_sum
-                w_ = solve_triangular(cK, t, lower=True)
-                quad += float(v @ v) - float(w_ @ w_)
-        return (
-            -0.5 * quad
-            - 0.5 * n_fields * logdet_c
-            - 0.5 * n_fields * 2.0 * n_ind * math.log(2.0 * math.pi)
-        )
+        w = solve_triangular(b.cap_chol, Ft, lower=True, check_finite=False)
+        quad = vv - float(np.einsum("ij,ij->", w, w))
+        return -0.5 * quad - 0.5 * n_fields * b.logdet_c - loglik_const
 
     def marginal_loglik():
+        means = mu[None, :] + eta[s_of_ind, :]
         total = 0.0
-        for l in range(spec.n_loci):
-            means = mu[l][None, :] + eta[l][s_of_ind, :]
-            p = np.clip(category_probs(means), 1e-300, 1.0)
+        rows = np.arange(n_ind)
+        for l, k in enumerate(n_cats):
+            p = np.clip(category_probs(means[:, offsets[l]:offsets[l] + k]), 1e-300, 1.0)
             obs = spec.alleles[l]
             for pl in range(2):
-                total += float(np.log(p[np.arange(n_ind), obs[:, pl]]).sum())
+                total += float(np.log(p[rows, obs[:, pl]]).sum())
         return total
 
+    z_flat = z.reshape(-1)
     for it in range(iterations):
         if include_likelihood:
             # latent utilities: truncated-normal Gibbs keeping the observed
-            # category's latent maximal in its block
-            for l, k in enumerate(spec.n_categories):
-                obs = spec.alleles[l]
-                means = mu[l][None, :] + eta[l][s_of_ind, :]
-                for p in range(2):
-                    zb = z[l][:, p, :]
-                    winner = obs[:, p]
-                    rows = np.arange(n_ind)
-                    for cat in range(k):
-                        is_win = winner == cat
-                        zc = zb.copy()
-                        zc[:, cat] = -np.inf
-                        runner_up = zc.max(axis=1)
-                        mcat = means[:, cat]
-                        new = np.empty(n_ind)
-                        if is_win.any():
-                            new[is_win] = truncated_normal(
-                                rng, mcat[is_win], lower=runner_up[is_win]
-                            )
-                        if (~is_win).any():
-                            cap = zb[~is_win, winner[~is_win]]
-                            new[~is_win] = truncated_normal(
-                                rng, mcat[~is_win], upper=cap
-                            )
-                        zb[:, cat] = new
+            # category's latent maximal in its block, winners then losers
+            means = (mu[None, :] + eta[s_of_ind, :]).ravel()
+            for win_z, win_m, win_rival, lose_z, lose_m, lose_cap in sweep_plan:
+                if win_z.size:
+                    z_flat[win_z] = truncated_normal(
+                        rng, means[win_m], lower=z_flat[win_rival].max(axis=0)
+                    )
+                if lose_z.size:
+                    z_flat[lose_z] = truncated_normal(rng, means[lose_m], upper=z_flat[lose_cap])
 
         # allele intercepts: conjugate Gaussian, mu_l0 pinned at zero
-        for l, k in enumerate(spec.n_categories):
-            resid = z[l] - eta[l][s_of_ind][:, None, :]  # (n_ind, 2, k)
-            for cat in range(1, k):
-                prec = like * 2.0 * n_ind + 1.0 / pr.mu_lk_sd**2
-                mean_c = like * float(resid[:, :, cat].sum()) / prec
-                mu[l][cat] = mean_c + rng.standard_normal() / math.sqrt(prec)
+        noise = rng.standard_normal(free_mu.size)
+        if include_likelihood:
+            resid = (z - eta.T[:, s_of_ind, None]).reshape(n_fields, n_slots)
+            mean_mu = resid[free_mu].sum(axis=1) / mu_prec
+            mu[free_mu] = mean_mu + noise / math.sqrt(mu_prec)
+            zc = (z - mu[:, None, None]).reshape(n_fields, n_slots)
+            node_sums = np.bincount(
+                field_bins, weights=zc.ravel(), minlength=n_fields * m
+            ).reshape(n_fields, m).T
+            Ft = F.T @ node_sums
+            vv = float(np.einsum("ij,ij->", zc, zc))
+        else:
+            mu[free_mu] = noise / math.sqrt(mu_prec)
 
         # rate coefficients: random-walk Metropolis on the collapsed model
         # (fields integrated out of the latent likelihood); the fields are
@@ -313,54 +438,41 @@ def fit_probit_genetics(
         logprior_cur = -0.5 * float(beta @ beta) / pr.rate_beta_sd**2
         logprior_prop = -0.5 * float(prop @ prop) / pr.rate_beta_sd**2
         try:
-            P_prop, B_chol_prop, logdet_B_prop = _precision_bundle(spec, prop, F)
+            bundle_prop = _precision_bundle(precision, prop, F, K_slots)
             if include_likelihood:
                 ratio = (
-                    collapsed_loglik(B_chol_prop, logdet_B_prop) + logprior_prop
-                    - collapsed_loglik(B_chol, logdet_B) - logprior_cur
+                    collapsed_loglik(bundle_prop, Ft, vv) + logprior_prop
+                    - collapsed_loglik(bundle, Ft, vv) - logprior_cur
                 )
             else:
                 ratio = logprior_prop - logprior_cur
             accept = math.log(rng.random()) < ratio
-        except (NumericalError, DataError):
+            if accept:
+                # factored only for a beta the chain moves to
+                field_prop = _field_factor(bundle_prop.P, slot_counts)
+        except NumericalError:
             accept = False
             rejected += 1
         if accept:
             beta = prop
-            P, B_chol, logdet_B = P_prop, B_chol_prop, logdet_B_prop
+            bundle, field = bundle_prop, field_prop
             acc += 1
         if it < burnin:
             gain = 1.0 / math.sqrt(it + 1.0)
             log_scale += gain * ((1.0 if accept else 0.0) - BETA_TARGET_ACC)
 
-        # spatial fields: constrained Gaussian via conditioning by kriging.
-        # A rank-one shift along 1 makes the precision invertible without
-        # changing the conditional distribution on the sum-zero subspace.
-        A = like * np.diag(node_counts) + P
-        shift = max(float(np.trace(A)) / m, 1.0) / m
-        A_eff = A + shift * np.ones((m, m))
-        L = np.linalg.cholesky(A_eff)
-        chol = (L, True)
-        u = cho_solve(chol, np.ones(m))
-        uu = float(u.sum())
-        for l, k in enumerate(spec.n_categories):
-            zsum = z[l] - mu[l][None, None, :]
-            for cat in range(k):
-                t = like * np.bincount(
-                    np.repeat(s_of_ind, 2), weights=zsum[:, :, cat].ravel(), minlength=m
-                )
-                mean_e = cho_solve(chol, t)
-                raw = mean_e + np.linalg.solve(L.T, rng.standard_normal(m))
-                eta[l][:, cat] = raw - u * (raw.sum() / uu)
+        # spatial fields: constrained Gaussian via conditioning by kriging,
+        # every field in one solve against the current beta's field factor
+        noise = rng.standard_normal((n_fields, m))
+        raw = solve_triangular(field.chol, noise.T, lower=True, trans="T", check_finite=False)
+        if include_likelihood:
+            raw += cho_solve((field.chol, True), node_sums, check_finite=False)
+        eta = raw - field.u[:, None] * (raw.sum(axis=0) / field.uu)
 
         if it >= burnin and (it - burnin) % thin == 0:
-            row = list(beta)
-            for l, k in enumerate(spec.n_categories):
-                row += list(mu[l][1:])
-            for l, k in enumerate(spec.n_categories):
-                for cat in range(k):
-                    row += list(eta[l][:, cat])
-            draws[kept] = row
+            draws[kept, :n_beta] = beta
+            draws[kept, n_beta:n_beta + free_mu.size] = mu[free_mu]
+            draws[kept, n_beta + free_mu.size:] = eta.T.ravel()
             if include_likelihood and kept % compute_loglik_every == 0:
                 logliks[kept] = marginal_loglik()
             elif kept > 0:
@@ -376,6 +488,7 @@ def fit_probit_genetics(
         "thin": thin,
         "acceptance": {"beta": acc / iterations},
         "rejected_proposals": rejected,
+        "beta_step": math.exp(log_scale),
         "include_likelihood": include_likelihood,
     }
     return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)

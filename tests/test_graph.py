@@ -12,6 +12,7 @@ from walkfield.graph import (
     Edge,
     EdgeCovariates,
     GeneratorMatrix,
+    RateModel,
     RateParams,
     SpatialGraph,
     build_generator,
@@ -117,6 +118,60 @@ class TestLogLinearRates:
         r = edge_rates_loglinear(g, RateParams((b0, 0.0, 0.0)))[(0, 1)]
         assert r > 0
         assert r == pytest.approx(math.exp(b0) / d, rel=1e-12)
+
+
+class TestRateModel:
+    @staticmethod
+    def random_graph_with_extras(rng, m):
+        """Random directed graph whose edges carry two extra covariates."""
+        pairs = {(i, (i + 1) % m) for i in range(m)}
+        pairs |= {(i, j) for i in range(m) for j in range(m)
+                  if i != j and rng.random() < 0.3}
+        edges = tuple(
+            Edge(i, j, EdgeCovariates(
+                float(rng.uniform(0.1, 5.0)), int(rng.integers(2)), int(rng.integers(2)),
+                (("slope", float(rng.normal())), ("width", float(rng.uniform(0, 3)))),
+            ))
+            for i, j in sorted(pairs)
+        )
+        return SpatialGraph(node_count=m, labels=tuple(str(i) for i in range(m)),
+                            edges=edges)
+
+    def test_rates_match_scalar_formula_on_random_graphs(self):
+        rng = np.random.default_rng(21)
+        names = ("width", "slope")
+        for _ in range(20):
+            g = self.random_graph_with_extras(rng, int(rng.integers(2, 15)))
+            model = RateModel(g, names)
+            beta = rng.normal(scale=2.0, size=5)
+            want = []
+            for e in g.edges:
+                x = dict(e.cov.extras)
+                lp = (beta[0] + beta[1] * e.cov.downstream + beta[2] * e.cov.barrier
+                      + beta[3] * x["width"] + beta[4] * x["slope"])
+                want.append(math.exp(lp) / e.cov.distance)
+            np.testing.assert_allclose(model.rates(beta), want, rtol=1e-14, atol=0)
+            assert [(e.src, e.dst) for e in g.edges] == list(zip(model.src, model.dst))
+            as_dict = edge_rates_loglinear(g, RateParams(tuple(beta), names))
+            assert list(as_dict) == [(e.src, e.dst) for e in g.edges]
+            np.testing.assert_array_equal(list(as_dict.values()), model.rates(beta))
+
+    def test_overflow_guard_names_the_edge(self):
+        g = self.random_graph_with_extras(np.random.default_rng(22), 6)
+        slopes = [dict(e.cov.extras)["slope"] for e in g.edges]
+        worst = g.edges[int(np.argmax(np.abs(slopes)))]
+        beta = (0.0, 0.0, 0.0, 701.0 / max(np.abs(slopes)) + 1e-9)
+        with pytest.raises(NumericalError, match=rf"edge \({worst.src},{worst.dst}\)"):
+            RateModel(g, ("slope",)).rates(beta)
+
+    def test_missing_covariate_fails_at_compile(self):
+        g = self.random_graph_with_extras(np.random.default_rng(23), 4)
+        with pytest.raises(ConfigError, match="missing covariate 'depth'"):
+            RateModel(g, ("slope", "depth"))
+
+    def test_coefficient_count_checked(self):
+        with pytest.raises(ConfigError):
+            RateModel(line_graph(3)).rates((0.0, 0.0))
 
 
 class TestGenerator:
