@@ -26,6 +26,7 @@ sampler up to roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -42,9 +43,6 @@ from .specs import GeneticsModelSpec, PosteriorSamples
 
 BETA_TARGET_ACC = 0.234
 _TAIL = 6.0
-# probabilists' Gauss-Hermite rule, weights scaled to an N(0, 1) expectation
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(40)
-_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(2.0 * math.pi)
 
 
 def truncated_normal(rng, mean, lower=None, upper=None):
@@ -106,6 +104,16 @@ def _robert_tail(rng, a):
             return x
 
 
+@functools.cache
+def _gauss_hermite():
+    """Probabilists' 40-node Gauss-Hermite rule, weights scaled to an N(0, 1)
+    expectation; formed at the first use, not at import, since it runs LAPACK."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
+
+
 def category_probs(means: np.ndarray) -> np.ndarray:
     """P(category k attains the max) for latents N(means_k, 1), per row.
 
@@ -118,9 +126,10 @@ def category_probs(means: np.ndarray) -> np.ndarray:
     cols = np.arange(k - 1)
     others = cols + (cols >= np.arange(k)[:, None])
     # t + m_k - m_a for every (row, k, a != k, node)
-    diff = (means[:, :, None] - means[:, others])[..., None] + _GH_NODES
+    nodes, weights = _gauss_hermite()
+    diff = (means[:, :, None] - means[:, others])[..., None] + nodes
     inner = np.exp(log_ndtr(diff).sum(axis=2))  # (n, k, n_quad)
-    return inner @ _GH_WEIGHTS
+    return inner @ weights
 
 
 def _sum_zero_basis(m):
