@@ -149,7 +149,10 @@ class RateModel:
                 f"linear predictor {lp[e]:.3g} on edge ({self.src[e]},{self.dst[e]}) "
                 f"exceeds the overflow guard ({LINPRED_LIMIT:g})"
             )
-        return np.exp(lp) / self.distance
+        # math.exp per edge, not np.exp: numpy's vectorized exp differs from
+        # the C library's in the last bit for some arguments, and a last-bit
+        # change in a rate can decide whether a nearly singular QQ' factors
+        return np.array([math.exp(x) for x in lp.tolist()]) / self.distance
 
 
 def edge_rates_loglinear(graph: SpatialGraph, params: RateParams) -> dict:
