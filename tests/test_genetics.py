@@ -547,6 +547,19 @@ class TestAgainstReferenceSampler:
         _assert_same_chain(spec, iterations=200, burnin=50, seed=11,
                            include_likelihood=False)
 
+    def test_prior_mode_near_singular_precisions(self, small_sim):
+        # The first 2400 sweeps of the chain in
+        # TestSampler::test_prior_audit_beta_and_mu, which reaches betas
+        # where F'PF barely factors.  There a last-bit change in P, or a
+        # field factor formed before the Metropolis draw, changes which
+        # proposals are rejected.
+        spec, _ = small_sim
+        spec = GeneticsModelSpec(graph=spec.graph, node_of_individual=spec.node_of_individual,
+                                 alleles=spec.alleles, n_categories=spec.n_categories,
+                                 priors=PriorSpec(rate_beta_sd=2.0, mu_lk_sd=1.5))
+        _assert_same_chain(spec, iterations=2400, burnin=2000, seed=5,
+                           include_likelihood=False)
+
     def test_category_probs_match_reference(self):
         rng = np.random.default_rng(12)
         for k in (2, 3, 5):

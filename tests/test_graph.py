@@ -150,7 +150,9 @@ class TestRateModel:
                 lp = (beta[0] + beta[1] * e.cov.downstream + beta[2] * e.cov.barrier
                       + beta[3] * x["width"] + beta[4] * x["slope"])
                 want.append(math.exp(lp) / e.cov.distance)
-            np.testing.assert_allclose(model.rates(beta), want, rtol=1e-14, atol=0)
+            # bitwise, not only to 1e-14: whether the genetics sampler can
+            # factor a nearly singular QQ' may turn on the last bit of a rate
+            np.testing.assert_array_equal(model.rates(beta), want)
             assert [(e.src, e.dst) for e in g.edges] == list(zip(model.src, model.dst))
             as_dict = edge_rates_loglinear(g, RateParams(tuple(beta), names))
             assert list(as_dict) == [(e.src, e.dst) for e in g.edges]
