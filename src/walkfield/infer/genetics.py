@@ -425,8 +425,8 @@ def fit_probit_genetics(
         # allele intercepts: conjugate Gaussian, mu_l0 pinned at zero
         noise = rng.standard_normal(free_mu.size)
         if include_likelihood:
-            resid = (z - eta.T[:, s_of_ind, None]).reshape(n_fields, n_slots)
-            mean_mu = resid[free_mu].sum(axis=1) / mu_prec
+            resid = z[free_mu] - eta.T[free_mu][:, s_of_ind, None]
+            mean_mu = resid.reshape(free_mu.size, n_slots).sum(axis=1) / mu_prec
             mu[free_mu] = mean_mu + noise / math.sqrt(mu_prec)
             zc = (z - mu[:, None, None]).reshape(n_fields, n_slots)
             node_sums = np.bincount(
@@ -457,7 +457,9 @@ def fit_probit_genetics(
                 ratio = logprior_prop - logprior_cur
             accept = math.log(rng.random()) < ratio
             if accept:
-                # factored only for a beta the chain moves to
+                # factored only for a beta the chain moves to, after its
+                # uniform is drawn, so a failure here rejects the move
+                # without shifting the random stream
                 field_prop = _field_factor(bundle_prop.P, slot_counts)
         except NumericalError:
             accept = False
