@@ -13,6 +13,12 @@ is the constant vector only for balanced rates.)  Conjugate Gibbs updates
 for (mu, beta), tau^2, and eta; adaptive random-walk Metropolis on log
 sigma (half-normal prior breaks conjugacy), with adaptation frozen when
 burn-in ends so the retained chain preserves detailed balance.
+
+Each sweep draws its standard normals as one block of M+1: two for
+(mu, beta), whose 2x2 posterior precision is factored in closed form, and
+M-1 for the eta coordinates.  The residual c - mu - beta*x is formed once
+per sweep and serves the eta projection, the tau^2 rate, both sigma
+log-densities and the retained log-likelihood.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ def fit_gaussian(
 
     ``include_likelihood=False`` disables the data terms in every update,
     turning the sweep into a prior sampler (used by the Gibbs audit).
+    The metadata records the sigma acceptance rate and ``sigma_step``, the
+    random-walk step on log sigma, which stops adapting when burn-in ends.
+    A (mu, beta) posterior precision that fails to factor raises
+    ``NumericalError``.
     """
     if iterations <= burnin:
         raise DataError("iterations must exceed burnin")
@@ -107,19 +117,24 @@ def fit_gaussian(
     U = F @ W
 
     rng = np.random.default_rng(seed)
-    X = np.column_stack([np.ones(m), x])
     like = 1.0 if include_likelihood else 0.0
 
     # initialization: least squares for (mu, beta), eta = 0, tau2 at residual variance
+    X = np.column_stack([np.ones(m), x])
     coef, *_ = np.linalg.lstsq(X, c, rcond=None)
     mu, beta = float(coef[0]), float(coef[1])
     resid0 = c - X @ coef
     tau2 = float(resid0 @ resid0) / max(m - 2, 1)
     sigma = 1.0
-    w = np.zeros(m - 1)
+    eta = np.zeros(m)
+
+    # constants of the (mu, beta) update: X'X = [[m, sx], [sx, sxx]]
+    sx = float(x.sum())
+    sxx = float(x @ x)
+    prior_prec_reg = 1.0 / pr.regression_sd**2
+    Ut = U.T
 
     log_step = math.log(0.5)
-    prior_prec_reg = 1.0 / pr.regression_sd**2
     n_keep = (iterations - burnin + thin - 1) // thin
     names = ["mu", "beta", "sigma", "tau"] + [f"eta_{i}" for i in range(m)]
     draws = np.empty((n_keep, len(names)))
@@ -132,30 +147,42 @@ def fit_gaussian(
         return -0.5 * s * s / pr.re_sd_scale**2
 
     for it in range(iterations):
-        eta = U @ w
+        # one block of noise: 2 for (mu, beta), then m-1 for the eta coordinates
+        z = rng.standard_normal(m + 1)
+        z_mu, z_beta = z[:2].tolist()
 
-        # (mu, beta): conjugate bivariate Gaussian
+        # (mu, beta): conjugate bivariate Gaussian, coef = L'^-1 (L^-1 b + z)
+        # with A = LL' the 2x2 posterior precision, factored in closed form
         y_reg = c - sigma * eta
-        A = like * (X.T @ X) / tau2 + prior_prec_reg * np.eye(2)
-        bvec = like * (X.T @ y_reg) / tau2
-        chol = np.linalg.cholesky(A)
-        mean_reg = np.linalg.solve(A, bvec)
-        z2 = rng.standard_normal(2)
-        coef = mean_reg + np.linalg.solve(chol.T, z2)
-        mu, beta = float(coef[0]), float(coef[1])
+        a11 = like * m / tau2 + prior_prec_reg
+        a12 = like * sx / tau2
+        a22 = like * sxx / tau2 + prior_prec_reg
+        b1 = like * float(y_reg.sum()) / tau2
+        b2 = like * float(x @ y_reg) / tau2
+        if not a11 > 0.0:
+            raise NumericalError(f"(mu, beta) posterior precision has pivot {a11:g}")
+        l11 = math.sqrt(a11)
+        l21 = a12 / l11
+        pivot = a22 - l21 * l21
+        if not pivot > 0.0:
+            raise NumericalError(f"(mu, beta) posterior precision has pivot {pivot:g}")
+        l22 = math.sqrt(pivot)
+        t1 = b1 / l11
+        beta = ((b2 - l21 * t1) / l22 + z_beta) / l22
+        mu = (t1 + z_mu - l21 * beta) / l11
 
         # eta coordinates: independent in the eigenbasis
-        y_eta = c - mu - beta * x
-        proj = U.T @ y_eta
+        base = c - mu - beta * x
+        proj = Ut @ base
         prec_w = d_pos + like * sigma * sigma / tau2
         mean_w = like * (sigma / tau2) * proj / prec_w
-        w = mean_w + rng.standard_normal(m - 1) / np.sqrt(prec_w)
-        eta = U @ w
+        eta = U @ (mean_w + z[2:] / np.sqrt(prec_w))
 
         # tau2: conjugate inverse-gamma
-        resid = c - mu - beta * x - sigma * eta
+        r_cur = base - sigma * eta
+        rr_cur = float(r_cur @ r_cur)
         shape = pr.tau2_shape + like * 0.5 * m
-        rate = pr.tau2_scale + like * 0.5 * float(resid @ resid)
+        rate = pr.tau2_scale + like * 0.5 * rr_cur
         gdraw = rng.gamma(shape, 1.0 / rate)
         if gdraw <= 0.0:
             raise NumericalError(
@@ -166,17 +193,17 @@ def fit_gaussian(
 
         # sigma: random-walk Metropolis on log sigma (Jacobian included)
         sigma_tries += 1
-        resid_base = c - mu - beta * x
         prop = sigma * math.exp(math.exp(log_step) * rng.standard_normal())
-        r_cur = resid_base - sigma * eta
-        r_prop = resid_base - prop * eta
-        logp_cur = (-0.5 * like * float(r_cur @ r_cur) / tau2
+        r_prop = base - prop * eta
+        rr_prop = float(r_prop @ r_prop)
+        logp_cur = (-0.5 * like * rr_cur / tau2
                     + half_normal_logpdf(sigma) + math.log(sigma))
-        logp_prop = (-0.5 * like * float(r_prop @ r_prop) / tau2
+        logp_prop = (-0.5 * like * rr_prop / tau2
                      + half_normal_logpdf(prop) + math.log(prop))
         accept = math.log(rng.random()) < logp_prop - logp_cur
         if accept:
             sigma = prop
+            rr_cur = rr_prop
             acc_count += 1
         if it < burnin:
             # Robbins-Monro adaptation toward the scalar-update target rate
@@ -184,15 +211,13 @@ def fit_gaussian(
             log_step += gain * ((1.0 if accept else 0.0) - SIGMA_TARGET_ACC)
 
         if it >= burnin and (it - burnin) % thin == 0:
-            tau = math.sqrt(tau2)
             draws[kept, 0] = mu
             draws[kept, 1] = beta
             draws[kept, 2] = sigma
-            draws[kept, 3] = tau
+            draws[kept, 3] = math.sqrt(tau2)
             draws[kept, 4:] = eta
-            r = c - mu - beta * x - sigma * eta
             logliks[kept] = (-0.5 * m * math.log(2.0 * math.pi * tau2)
-                             - 0.5 * float(r @ r) / tau2)
+                             - 0.5 * rr_cur / tau2)
             kept += 1
 
     meta = {
@@ -202,6 +227,7 @@ def fit_gaussian(
         "thin": thin,
         "variant": spec.variant,
         "acceptance": {"sigma": acc_count / max(sigma_tries, 1)},
+        "sigma_step": math.exp(log_step),
         "include_likelihood": include_likelihood,
     }
     return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,44 +102,60 @@ def write_graph(graph: SpatialGraph, nodes_path, edges_path):
             w.writerow(row)
 
 
+def _write_float_rows(path, header, rows):
+    """CSV with a header and one line per row; floats written with repr.
+
+    The lines match ``csv.writer`` over ``repr(float(v))`` cells: no float
+    repr holds a delimiter or quote, so no cell needs quoting.
+    """
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerow(header)
+        for row in rows:
+            f.write(",".join(map(repr, row)) + "\r\n")
+
+
 def write_trajectory_csv(traj, path):
     """Trajectory to CSV: columns t, node_0 .. node_{M-1} (normalized density)."""
     dens = traj.density()
     m = dens.shape[1]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t"] + [f"node_{i}" for i in range(m)])
-        for t, row in zip(traj.times, dens):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_float_rows(path, ["t"] + [f"node_{i}" for i in range(m)],
+                      np.column_stack([traj.times, dens]).tolist())
 
 
 def write_field_csv(pi, path):
     """Field sample to CSV: node_id, value."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["node_id", "value"])
-        for i, v in enumerate(pi):
-            w.writerow([i, repr(float(v))])
+    values = np.asarray(pi, dtype=float).tolist()
+    _write_float_rows(path, ["node_id", "value"], enumerate(values))
 
 
 def write_samples_csv(samples: PosteriorSamples, path):
     """Posterior draws to CSV, one column per parameter plus log_likelihood."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(list(samples.names) + ["log_likelihood"])
-        for row, ll in zip(samples.draws, samples.loglik):
-            w.writerow([repr(float(v)) for v in row] + [repr(float(ll))])
+    _write_float_rows(path, list(samples.names) + ["log_likelihood"],
+                      np.column_stack([samples.draws, samples.loglik]).tolist())
 
 
 def read_samples_csv(path, metadata=None) -> PosteriorSamples:
+    """Posterior draws from a CSV written by ``write_samples_csv``.
+
+    A missing header, a cell that is not a number, or a ragged row raises
+    ``DataError`` naming the file.
+    """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
-    if header[-1] != "log_likelihood":
+        header = next(csv.reader(f), None)
+    if not header or header[-1] != "log_likelihood":
         raise DataError(f"{path}: expected trailing log_likelihood column")
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported as "no draws" below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed draws ({exc})") from None
     if data.size == 0:
         raise DataError(f"{path}: no draws")
+    if data.shape[1] != len(header):
+        raise DataError(f"{path}: rows have {data.shape[1]} values for {len(header)} columns")
     return PosteriorSamples(
         tuple(header[:-1]), data[:, :-1], data[:, -1], metadata or {"source": str(path)}
     )

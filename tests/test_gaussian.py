@@ -1,13 +1,22 @@
 """Gaussian-response samplers: design handling, prior recovery, posterior checks."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import helmert
 
 from walkfield.datasets import columbus_fixture
-from walkfield.errors import DataError
-from walkfield.field import constrained_solve
-from walkfield.graph import Edge, EdgeCovariates, SpatialGraph
-from walkfield.infer.gaussian import fit_gaussian, gaussian_loglik_fn, graph_generator
+from walkfield.errors import DataError, NumericalError
+from walkfield.field import constrained_solve, stationary_precision
+from walkfield.graph import Edge, EdgeCovariates, SpatialGraph, check_irreducible
+from walkfield.infer.gaussian import (
+    SIGMA_TARGET_ACC,
+    _design_column,
+    fit_gaussian,
+    gaussian_loglik_fn,
+    graph_generator,
+)
 from walkfield.infer.specs import (
     DIFFUSION,
     SPATIAL,
@@ -87,6 +96,26 @@ class TestSamplerBasics:
         spec = make_spec(columbus, SPATIAL)
         s = fit_gaussian(spec, iterations=400, burnin=100, seed=5, thin=3)
         assert s.n_draws == 100
+
+    def test_sigma_step_is_recorded(self, columbus):
+        s = fit_gaussian(make_spec(columbus, SPATIAL), iterations=300, burnin=100, seed=5)
+        assert s.metadata["sigma_step"] > 0
+
+    def test_sigma_step_stops_adapting_at_burnin(self, columbus):
+        spec = make_spec(columbus, SPATIAL)
+        short = fit_gaussian(spec, iterations=110, burnin=100, seed=5)
+        long = fit_gaussian(spec, iterations=150, burnin=100, seed=5)
+        assert short.metadata["sigma_step"] == long.metadata["sigma_step"]
+
+    def test_singular_regression_precision_raises(self, columbus):
+        # a constant covariate duplicates the intercept, and a prior this
+        # flat leaves the 2x2 (mu, beta) precision singular in floating point
+        graph, crime, _ = columbus
+        spec = GaussianModelSpec(response=crime, covariate=np.ones(crime.size),
+                                 variant=SPATIAL, graph=graph, standardize=False,
+                                 priors=PriorSpec(regression_sd=1e20))
+        with pytest.raises(NumericalError, match="pivot"):
+            fit_gaussian(spec, iterations=20, burnin=10, seed=0)
 
     def test_iterations_must_exceed_burnin(self, columbus):
         spec = make_spec(columbus, SPATIAL)
@@ -171,20 +200,194 @@ class TestPosteriorRecovery:
         assert s.metadata["acceptance"]["sigma"] == pytest.approx(0.44, abs=0.15)
 
 
+def directed_cycle_spec():
+    # distances drawn apart per direction: in-rates differ from
+    # out-rates, so the null vector of QQ' is not the constant vector
+    rng = np.random.default_rng(0)
+    m = 6
+    edges = []
+    for i in range(m):
+        j = (i + 1) % m
+        edges.append(Edge(i, j, EdgeCovariates(float(rng.uniform(0.5, 3.0)))))
+        edges.append(Edge(j, i, EdgeCovariates(float(rng.uniform(0.5, 3.0)))))
+    g = SpatialGraph(m, tuple(f"n{i}" for i in range(m)), tuple(edges))
+    return GaussianModelSpec(response=rng.normal(size=m), covariate=rng.normal(size=m),
+                             variant=SPATIAL, graph=g)
+
+
 class TestDirectedGraph:
     def test_eta_sums_to_zero_on_directed_cycle(self):
-        # distances drawn apart per direction: in-rates differ from
-        # out-rates, so the null vector of QQ' is not the constant vector
-        rng = np.random.default_rng(0)
-        m = 6
-        edges = []
-        for i in range(m):
-            j = (i + 1) % m
-            edges.append(Edge(i, j, EdgeCovariates(float(rng.uniform(0.5, 3.0)))))
-            edges.append(Edge(j, i, EdgeCovariates(float(rng.uniform(0.5, 3.0)))))
-        g = SpatialGraph(m, tuple(f"n{i}" for i in range(m)), tuple(edges))
-        spec = GaussianModelSpec(response=rng.normal(size=m), covariate=rng.normal(size=m),
-                                 variant=SPATIAL, graph=g)
+        spec = directed_cycle_spec()
+        m = spec.graph.node_count
         s = fit_gaussian(spec, iterations=2000, burnin=500, seed=1)
         eta = s.draws[:, [s.names.index(f"eta_{i}") for i in range(m)]]
         assert np.abs(eta.sum(axis=1)).max() < 1e-9
+
+
+def _reference_fit_gaussian(
+    spec: GaussianModelSpec,
+    iterations: int,
+    burnin: int,
+    seed: int,
+    thin: int = 1,
+    include_likelihood: bool = True,
+) -> PosteriorSamples:
+    """The sampler before the closed-form (mu, beta) step, frozen as the
+    oracle: the new sweep must give the same chain up to roundoff."""
+    if iterations <= burnin:
+        raise DataError("iterations must exceed burnin")
+    pr = spec.priors
+    c = spec.response
+    m = c.size
+    Q = graph_generator(spec.graph)
+    if not check_irreducible(Q):
+        raise DataError("neighborhood graph must be connected (Q irreducible)")
+    x = _design_column(spec, Q)
+
+    # eigenbasis of the intrinsic precision restricted to the sum-zero subspace
+    F = helmert(m).T
+    d_pos, W = np.linalg.eigh(F.T @ stationary_precision(Q).toarray() @ F)
+    if d_pos[0] <= 0.0:
+        raise NumericalError("intrinsic precision is not positive on the sum-zero subspace")
+    U = F @ W
+
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(m), x])
+    like = 1.0 if include_likelihood else 0.0
+
+    # initialization: least squares for (mu, beta), eta = 0, tau2 at residual variance
+    coef, *_ = np.linalg.lstsq(X, c, rcond=None)
+    mu, beta = float(coef[0]), float(coef[1])
+    resid0 = c - X @ coef
+    tau2 = float(resid0 @ resid0) / max(m - 2, 1)
+    sigma = 1.0
+    w = np.zeros(m - 1)
+
+    log_step = math.log(0.5)
+    prior_prec_reg = 1.0 / pr.regression_sd**2
+    n_keep = (iterations - burnin + thin - 1) // thin
+    names = ["mu", "beta", "sigma", "tau"] + [f"eta_{i}" for i in range(m)]
+    draws = np.empty((n_keep, len(names)))
+    logliks = np.empty(n_keep)
+    acc_count = 0
+    sigma_tries = 0
+    kept = 0
+
+    def half_normal_logpdf(s):
+        return -0.5 * s * s / pr.re_sd_scale**2
+
+    for it in range(iterations):
+        eta = U @ w
+
+        # (mu, beta): conjugate bivariate Gaussian
+        y_reg = c - sigma * eta
+        A = like * (X.T @ X) / tau2 + prior_prec_reg * np.eye(2)
+        bvec = like * (X.T @ y_reg) / tau2
+        chol = np.linalg.cholesky(A)
+        mean_reg = np.linalg.solve(A, bvec)
+        z2 = rng.standard_normal(2)
+        coef = mean_reg + np.linalg.solve(chol.T, z2)
+        mu, beta = float(coef[0]), float(coef[1])
+
+        # eta coordinates: independent in the eigenbasis
+        y_eta = c - mu - beta * x
+        proj = U.T @ y_eta
+        prec_w = d_pos + like * sigma * sigma / tau2
+        mean_w = like * (sigma / tau2) * proj / prec_w
+        w = mean_w + rng.standard_normal(m - 1) / np.sqrt(prec_w)
+        eta = U @ w
+
+        # tau2: conjugate inverse-gamma
+        resid = c - mu - beta * x - sigma * eta
+        shape = pr.tau2_shape + like * 0.5 * m
+        rate = pr.tau2_scale + like * 0.5 * float(resid @ resid)
+        gdraw = rng.gamma(shape, 1.0 / rate)
+        if gdraw <= 0.0:
+            raise NumericalError(
+                f"inverse-gamma draw underflowed (shape={shape:g}); "
+                "shapes this small are only reachable in prior-only runs"
+            )
+        tau2 = 1.0 / gdraw
+
+        # sigma: random-walk Metropolis on log sigma (Jacobian included)
+        sigma_tries += 1
+        resid_base = c - mu - beta * x
+        prop = sigma * math.exp(math.exp(log_step) * rng.standard_normal())
+        r_cur = resid_base - sigma * eta
+        r_prop = resid_base - prop * eta
+        logp_cur = (-0.5 * like * float(r_cur @ r_cur) / tau2
+                    + half_normal_logpdf(sigma) + math.log(sigma))
+        logp_prop = (-0.5 * like * float(r_prop @ r_prop) / tau2
+                     + half_normal_logpdf(prop) + math.log(prop))
+        accept = math.log(rng.random()) < logp_prop - logp_cur
+        if accept:
+            sigma = prop
+            acc_count += 1
+        if it < burnin:
+            # Robbins-Monro adaptation toward the scalar-update target rate
+            gain = 1.0 / math.sqrt(it + 1.0)
+            log_step += gain * ((1.0 if accept else 0.0) - SIGMA_TARGET_ACC)
+
+        if it >= burnin and (it - burnin) % thin == 0:
+            tau = math.sqrt(tau2)
+            draws[kept, 0] = mu
+            draws[kept, 1] = beta
+            draws[kept, 2] = sigma
+            draws[kept, 3] = tau
+            draws[kept, 4:] = eta
+            r = c - mu - beta * x - sigma * eta
+            logliks[kept] = (-0.5 * m * math.log(2.0 * math.pi * tau2)
+                             - 0.5 * float(r @ r) / tau2)
+            kept += 1
+
+    meta = {
+        "seed": seed,
+        "iterations": iterations,
+        "burnin": burnin,
+        "thin": thin,
+        "variant": spec.variant,
+        "acceptance": {"sigma": acc_count / max(sigma_tries, 1)},
+        "include_likelihood": include_likelihood,
+    }
+    return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)
+
+
+def _assert_same_chain(spec, **kw):
+    ref = _reference_fit_gaussian(spec, **kw)
+    s = fit_gaussian(spec, **kw)
+    assert s.names == ref.names
+    assert s.metadata["acceptance"] == ref.metadata["acceptance"]
+    np.testing.assert_allclose(s.draws, ref.draws, rtol=0,
+                               atol=1e-12 * np.abs(ref.draws).max())
+    np.testing.assert_allclose(s.loglik, ref.loglik, rtol=0,
+                               atol=1e-12 * np.abs(ref.loglik).max())
+    return s, ref
+
+
+class TestAgainstReferenceSampler:
+    @pytest.mark.parametrize("seed", [21, 22])
+    @pytest.mark.parametrize("variant", [SPATIAL, DIFFUSION])
+    def test_columbus(self, columbus, variant, seed):
+        _assert_same_chain(make_spec(columbus, variant), iterations=3000, burnin=500,
+                           seed=seed)
+
+    def test_unstandardized_covariate(self, columbus):
+        # x sums to zero in the cases above, so only here does the
+        # off-diagonal of the (mu, beta) precision carry weight
+        _assert_same_chain(make_spec(columbus, SPATIAL, standardize=False),
+                           iterations=3000, burnin=500, seed=25)
+
+    def test_thinned(self, columbus):
+        _assert_same_chain(make_spec(columbus, SPATIAL), iterations=1200, burnin=300,
+                           seed=23, thin=3)
+
+    def test_prior_mode_is_bitwise(self, columbus):
+        spec = make_spec(columbus, SPATIAL,
+                         priors=PriorSpec(tau2_shape=3.0, tau2_scale=4.0))
+        s, ref = _assert_same_chain(spec, iterations=2000, burnin=500, seed=24,
+                                    include_likelihood=False)
+        np.testing.assert_array_equal(s.draws, ref.draws)
+        np.testing.assert_array_equal(s.loglik, ref.loglik)
+
+    def test_directed_cycle(self):
+        _assert_same_chain(directed_cycle_spec(), iterations=2000, burnin=500, seed=1)

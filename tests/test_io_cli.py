@@ -1,7 +1,10 @@
 """Serialization round-trips, config parsing, and the command-line interface."""
 
+import csv
+import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +19,12 @@ from walkfield.io import (
     load_graph,
     parse_config,
     read_samples_csv,
+    write_field_csv,
     write_graph,
     write_samples_csv,
+    write_trajectory_csv,
 )
+from walkfield.popsim import PopulationTrajectory
 
 from test_graph import random_graph
 
@@ -99,6 +105,82 @@ def test_read_samples_requires_loglik_column(tmp_path):
     path.write_text("mu,beta\n1.0,2.0\n")
     with pytest.raises(DataError, match="log_likelihood"):
         read_samples_csv(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("1.0,oops,-3.0\r\n", "could not convert"),
+    ("1.0,2.0,-3.0\r\n4.0,-5.0\r\n", "number of columns"),
+    ("1.0,2.0\r\n", "2 values for 3 columns"),
+])
+def test_read_samples_malformed_rows_are_data_errors(tmp_path, body, match):
+    path = tmp_path / "samples.csv"
+    path.write_text("mu,beta,log_likelihood\r\n" + body)
+    with pytest.raises(DataError, match=match) as err:
+        read_samples_csv(path)
+    assert str(path) in str(err.value)
+
+
+def test_read_samples_header_only_is_no_draws_without_warning(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("mu,beta,log_likelihood\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no draws"):
+            read_samples_csv(path)
+
+
+def test_read_samples_single_row(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("mu,beta,log_likelihood\r\n1.5,-2.0,-7.25\r\n")
+    s = read_samples_csv(path)
+    assert s.draws.shape == (1, 2)
+    np.testing.assert_array_equal(s.draws, [[1.5, -2.0]])
+    np.testing.assert_array_equal(s.loglik, [-7.25])
+
+
+EXTREME = [-0.0, 0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1, 1 / 3, -123456789.125, 2.5e-300, 6.02214076e23]
+
+
+def _csv_reference(header, rows):
+    """What csv.writer writes for repr(float(v)) cells (ints written as is)."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([v if isinstance(v, int) else repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+def _extreme_block(n_cols):
+    rng = np.random.default_rng(12)
+    vals = np.array(EXTREME)
+    mixed = rng.normal(size=(6, n_cols)) * 10.0 ** rng.integers(-300, 300, size=(6, n_cols))
+    return np.vstack([np.resize(vals, (len(EXTREME), n_cols)), mixed])
+
+
+def test_writers_match_csv_reference_on_extreme_values(tmp_path):
+    block = _extreme_block(5)
+    s = PosteriorSamples(("mu", "beta", "sigma", "tau"), block[:, :4], block[:, 4], {})
+    path = tmp_path / "samples.csv"
+    write_samples_csv(s, path)
+    assert path.read_bytes() == _csv_reference(
+        ["mu", "beta", "sigma", "tau", "log_likelihood"], block.tolist())
+    back = read_samples_csv(path)
+    # bitwise, so that -0.0 keeps its sign
+    assert back.draws.tobytes() == s.draws.tobytes()
+    assert back.loglik.tobytes() == s.loglik.tobytes()
+
+    traj = PopulationTrajectory(times=block[:, 0], values=block[:, 1:], kind="density")
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _csv_reference(
+        ["t"] + [f"node_{i}" for i in range(4)], block.tolist())
+
+    path = tmp_path / "field.csv"
+    write_field_csv(block[:, 2], path)
+    assert path.read_bytes() == _csv_reference(
+        ["node_id", "value"], [[i, v] for i, v in enumerate(block[:, 2])])
 
 
 def test_parse_config_basics(tmp_path):
@@ -293,6 +375,16 @@ def test_cli_fit_dic_diagnose_pipeline(tmp_path, cli_graph):
                  "--quiet"]) == 0
     report = json.loads((out_diag / "diagnostics.json").read_text())
     assert "mu" in report and "flagged" in report["mu"]
+
+
+def test_cli_malformed_samples_exit_3(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("mu,beta,log_likelihood\r\n1.0,oops,-3.0\r\n")
+    cfg = write_cfg(tmp_path, f"samples={samples}\n")
+    assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert str(samples) in err and "Traceback" not in err
 
 
 def test_cli_manifest_wall_time_covers_the_fit(tmp_path, cli_graph, monkeypatch):
