@@ -128,13 +128,12 @@ def fit_gaussian(
     sigma = 1.0
     eta = np.zeros(m)
 
-    # constants of the (mu, beta) update: X'X = [[m, sx], [sx, sxx]]
+    log_step = math.log(0.5)
+    prior_prec_reg = 1.0 / pr.regression_sd**2
+    # X'X = [[m, sx], [sx, sxx]] in the (mu, beta) update
     sx = float(x.sum())
     sxx = float(x @ x)
-    prior_prec_reg = 1.0 / pr.regression_sd**2
     Ut = U.T
-
-    log_step = math.log(0.5)
     n_keep = (iterations - burnin + thin - 1) // thin
     names = ["mu", "beta", "sigma", "tau"] + [f"eta_{i}" for i in range(m)]
     draws = np.empty((n_keep, len(names)))

@@ -137,8 +137,8 @@ def write_samples_csv(samples: PosteriorSamples, path):
 def read_samples_csv(path, metadata=None) -> PosteriorSamples:
     """Posterior draws from a CSV written by ``write_samples_csv``.
 
-    A missing header, a cell that is not a number, or a ragged row raises
-    ``DataError`` naming the file.
+    A missing header, a cell that is not a number or not finite, or a
+    ragged row raises ``DataError`` naming the file.
     """
     with open(path, newline="") as f:
         header = next(csv.reader(f), None)
@@ -154,11 +154,12 @@ def read_samples_csv(path, metadata=None) -> PosteriorSamples:
         raise DataError(f"{path}: malformed draws ({exc})") from None
     if data.size == 0:
         raise DataError(f"{path}: no draws")
-    if data.shape[1] != len(header):
-        raise DataError(f"{path}: rows have {data.shape[1]} values for {len(header)} columns")
-    return PosteriorSamples(
-        tuple(header[:-1]), data[:, :-1], data[:, -1], metadata or {"source": str(path)}
-    )
+    try:
+        return PosteriorSamples(
+            tuple(header[:-1]), data[:, :-1], data[:, -1], metadata or {"source": str(path)}
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_json(obj, path):

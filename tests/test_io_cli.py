@@ -110,7 +110,8 @@ def test_read_samples_requires_loglik_column(tmp_path):
 @pytest.mark.parametrize("body, match", [
     ("1.0,oops,-3.0\r\n", "could not convert"),
     ("1.0,2.0,-3.0\r\n4.0,-5.0\r\n", "number of columns"),
-    ("1.0,2.0\r\n", "2 values for 3 columns"),
+    ("1.0,2.0\r\n", "draw matrix"),
+    ("1.0,nan,-3.0\r\n", "non-finite"),
 ])
 def test_read_samples_malformed_rows_are_data_errors(tmp_path, body, match):
     path = tmp_path / "samples.csv"
