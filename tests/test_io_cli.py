@@ -112,7 +112,7 @@ def test_read_samples_requires_loglik_column(tmp_path):
     ("1.0,2.0,-3.0\r\n4.0,-5.0\r\n", "number of columns"),
     ("1.0,2.0\r\n", "draw matrix"),
     ("1.0,nan,-3.0\r\n", "non-finite"),
-])
+], ids=["not-a-number", "ragged", "short-rows", "non-finite"])
 def test_read_samples_malformed_rows_are_data_errors(tmp_path, body, match):
     path = tmp_path / "samples.csv"
     path.write_text("mu,beta,log_likelihood\r\n" + body)
@@ -153,15 +153,10 @@ def _csv_reference(header, rows):
     return buf.getvalue().encode()
 
 
-def _extreme_block(n_cols):
-    rng = np.random.default_rng(12)
-    vals = np.array(EXTREME)
-    mixed = rng.normal(size=(6, n_cols)) * 10.0 ** rng.integers(-300, 300, size=(6, n_cols))
-    return np.vstack([np.resize(vals, (len(EXTREME), n_cols)), mixed])
-
-
 def test_writers_match_csv_reference_on_extreme_values(tmp_path):
-    block = _extreme_block(5)
+    rng = np.random.default_rng(12)
+    mixed = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))
+    block = np.vstack([np.resize(EXTREME, (len(EXTREME), 5)), mixed])
     s = PosteriorSamples(("mu", "beta", "sigma", "tau"), block[:, :4], block[:, 4], {})
     path = tmp_path / "samples.csv"
     write_samples_csv(s, path)
