@@ -278,12 +278,13 @@ def test_cli_simulate_field_deterministic(tmp_path, cli_graph):
     assert (out3 / "field.csv").read_bytes() != (out1 / "field.csv").read_bytes()
 
 
-def test_cli_simulate_population_deterministic(tmp_path, cli_graph):
+def _simulate_population_twice(tmp_path, cli_graph, demography=""):
+    """Run simulate-population twice on one config; returns both manifests."""
     nodes, edges = cli_graph
     cfg = write_cfg(
         tmp_path,
         f"nodes={nodes}\nedges={edges}\nsymmetric=true\n"
-        "N=200\nt_end=1.0\nsnapshot_every=0.25\nseed=3\n",
+        "N=200\nt_end=1.0\nsnapshot_every=0.25\nseed=3\n" + demography,
     )
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
     for out in (out1, out2):
@@ -294,9 +295,34 @@ def test_cli_simulate_population_deterministic(tmp_path, cli_graph):
     assert header == "t,node_0,node_1,node_2,node_3"
     manifests = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
     for manifest in manifests:
-        assert isinstance(manifest["event_count"], int) and manifest["event_count"] > 0
         assert manifest["ended_early"] is False
     assert manifests[0]["event_count"] == manifests[1]["event_count"]
+    return manifests
+
+
+def test_cli_simulate_population_deterministic(tmp_path, cli_graph):
+    # no deaths: the counts are drawn at the snapshot times and no event is simulated
+    for manifest in _simulate_population_twice(tmp_path, cli_graph):
+        assert manifest["event_count"] is None
+
+
+def test_cli_simulate_population_with_deaths_counts_events(tmp_path, cli_graph):
+    for manifest in _simulate_population_twice(tmp_path, cli_graph, "birth=0.2\ndeath=0.1\n"):
+        assert isinstance(manifest["event_count"], int) and manifest["event_count"] > 0
+
+
+@pytest.mark.parametrize("key, bad", [("snapshot_every", "0"), ("N", "0")])
+def test_cli_simulate_population_bad_input_exit_3(tmp_path, cli_graph, capsys, key, bad):
+    nodes, edges = cli_graph
+    settings = {"N": "200", "t_end": "1.0", "snapshot_every": "0.25", "seed": "3", key: bad}
+    cfg = write_cfg(
+        tmp_path,
+        f"nodes={nodes}\nedges={edges}\nsymmetric=true\n"
+        + "".join(f"{k}={v}\n" for k, v in settings.items()),
+    )
+    assert main(["simulate-population", "--config", str(cfg), "--out",
+                 str(tmp_path / "p"), "--quiet"]) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_cli_missing_seed_is_config_error(tmp_path, cli_graph, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from walkfield import popsim
 from walkfield.errors import DataError, NumericalError
 from walkfield.graph import generator_from_rates
 from walkfield.popsim import (
@@ -12,6 +13,7 @@ from walkfield.popsim import (
     PopulationTrajectory,
     _find_leaf,
     _snapshot_grid,
+    _stochastic,
     _sum_tree,
     convergence_gap,
     integrate_limit_ode,
@@ -161,9 +163,11 @@ class TestJumpProcess:
                                 1.0, seed=0, snapshot_every=0.5)
 
     def test_event_cap_raises_with_partial_trajectory(self):
+        # a positive death rate keeps the path on the event loop, where the cap applies
         Q = two_node_Q(50.0, 50.0)
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, 0.01))
         with pytest.raises(NumericalError) as info:
-            simulate_population(Q, no_demography(2), [500, 500], 1000, 10.0,
+            simulate_population(Q, demo, [500, 500], 1000, 10.0,
                                 seed=0, snapshot_every=1.0, max_events=200)
         partial = info.value.partial
         assert partial.ended_early
@@ -299,6 +303,125 @@ class TestPopulationLaw:
         mean = N * mean
         se = np.sqrt(mean / self.REPS)
         assert (np.abs(finals.mean(axis=0) - mean) <= 6.0 * se).all()
+
+
+class TestSnapshotSampler:
+    """With d = 0 the counts are drawn at the snapshot times; the event loop is the oracle.
+
+    Two-sample z-scores compare the per-node means at every snapshot and the
+    lag-one covariances Cov(n_i(t_k), n_j(t_k+1)), which a sampler drawing
+    each snapshot afresh from its marginal law would get wrong.  The grid
+    0, 0.3, 0.6, 0.7 ends on a remainder gap.
+    """
+
+    REPS = 300
+    Z = 5.0
+    T_END, EVERY = 0.7, 0.3
+
+    def _paths(self, simulate, Q, demo, n0, N, seeds):
+        return np.array([simulate(Q, demo, n0, N, self.T_END, seed, self.EVERY).values
+                         for seed in seeds])
+
+    def _assert_within_z(self, x, y):
+        """Per-replicate statistics x, y (first axis) have equal means within Z SE."""
+        se = np.sqrt(x.var(axis=0, ddof=1) / len(x) + y.var(axis=0, ddof=1) / len(y))
+        assert (np.abs(x.mean(axis=0) - y.mean(axis=0)) <= self.Z * se).all()
+
+    def _assert_same_law(self, Q, demo, n0, N):
+        new = self._paths(simulate_population, Q, demo, n0, N, range(self.REPS))
+        ref = self._paths(_reference_simulate, Q, demo, n0, N,
+                          range(self.REPS, 2 * self.REPS))
+        assert new.shape == ref.shape == (self.REPS, 4, Q.dim)
+        self._assert_within_z(new, ref)
+
+        def lag_one(paths):
+            c = paths - paths.mean(axis=0)
+            return c[:, :-1, :, None] * c[:, 1:, None, :]
+
+        self._assert_within_z(lag_one(new), lag_one(ref))
+
+    def _case(self, seed, m):
+        rng = np.random.default_rng(seed)
+        Q = generator_from_rates(
+            m, random_directed_rates(rng, m, lambda: float(rng.uniform(0.5, 2.0))))
+        return rng, Q
+
+    def test_closed_law_matches_event_loop(self):
+        rng, Q = self._case(31, 5)
+        self._assert_same_law(Q, no_demography(5), rng.integers(0, 30, size=5), 80)
+
+    def test_births_law_matches_event_loop(self):
+        rng, Q = self._case(32, 4)
+        demo = DemographyRates(b=rng.uniform(0.2, 1.0, size=4), d=np.zeros(4))
+        self._assert_same_law(Q, demo, rng.integers(0, 10, size=4), 40)
+
+    def test_one_expm_per_distinct_gap(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(popsim, "expm", counted)
+        births = DemographyRates(b=np.full(4, 0.2), d=np.zeros(4))
+        # arange's 0.1-spaced points differ from multiples of 0.1 by round-off only
+        for demo, t_end, every, expected in [(no_demography(4), 1.0, 0.1, [(4, 4)]),
+                                             (no_demography(4), 1.0, 0.3, [(4, 4)] * 2),
+                                             (births, 0.7, 0.1, [(8, 8)])]:
+            calls.clear()
+            traj = simulate_population(cycle4_Q(), demo, [5] * 4, 10, t_end, 0, every)
+            assert calls == expected
+            assert traj.event_count is None
+
+    def test_ended_early_only_in_an_absorbing_state(self):
+        Q = cycle4_Q()
+        # a plain bool, as the manifest's JSON needs
+        empty = simulate_population(Q, no_demography(4), [0] * 4, 5, 1.0, 0, 0.5)
+        assert empty.ended_early is True
+        np.testing.assert_array_equal(empty.values, np.zeros((3, 4)))
+        moving = simulate_population(Q, no_demography(4), [1, 0, 0, 0], 5, 1.0, 0, 0.5)
+        assert moving.ended_early is False
+        births = DemographyRates(b=np.full(4, 0.1), d=np.zeros(4))
+        assert simulate_population(Q, births, [0] * 4, 5, 1.0, 0, 0.5).ended_early is False
+
+    def test_roundoff_is_clipped_within_bound_and_raises_beyond(self):
+        eps = 1e-14
+        rows = np.array([[0.5 + eps, 0.5, -eps], [0.25, 0.75 - eps, 0.0]])
+        clean = _stochastic(rows, "P")
+        assert (clean >= 0).all()
+        np.testing.assert_allclose(clean.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        for bad in ([[0.5, 0.5 + 1e-9]], [[1.0 + 1e-9, -1e-9]]):
+            with pytest.raises(NumericalError):
+                _stochastic(np.array(bad), "P")
+
+
+BAD_GRIDS = [
+    pytest.param(1.0, 0.0, id="zero-step"),
+    pytest.param(1.0, -0.25, id="negative-step"),
+    pytest.param(1.0, np.nan, id="nan-step"),
+    pytest.param(1.0, np.inf, id="inf-step"),
+    pytest.param(0.0, 0.25, id="zero-t_end"),
+    pytest.param(np.inf, 0.25, id="inf-t_end"),
+    pytest.param(np.nan, 0.25, id="nan-t_end"),
+]
+
+
+class TestRejectsBadInputs:
+    @pytest.mark.parametrize("death", [0.0, 0.5], ids=["closed", "deaths"])
+    @pytest.mark.parametrize("N, t_end, every", [
+        pytest.param(0, 1.0, 0.25, id="N=0"),
+        *(pytest.param(10, *bad.values, id=bad.id) for bad in BAD_GRIDS),
+    ])
+    def test_simulate_population(self, death, N, t_end, every):
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, death))
+        with pytest.raises(DataError):
+            simulate_population(two_node_Q(), demo, [5, 5], N, t_end, 0, every)
+
+    @pytest.mark.parametrize("t_end, every", BAD_GRIDS)
+    def test_integrate_limit_ode(self, t_end, every):
+        with pytest.raises(DataError):
+            integrate_limit_ode(two_node_Q(), no_demography(2), [0.5, 0.5], t_end,
+                                snapshot_every=every)
 
 
 class TestLimitODE:
