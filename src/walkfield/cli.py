@@ -5,14 +5,28 @@ with identical inputs reproduces byte-identical CSV outputs.  Each run
 writes a manifest JSON recording input hashes, the seed, the package
 version, and the wall time from reading the config to the last output.
 Errors map to exit codes: configuration 2, data 3, numerical 4.
+
+The commands are the rows of one table, ``COMMANDS``.  A row gives the
+config keys the command accepts, whether it loads the graph and builds
+``Q``, whether it needs a seed, its output files and its ``run`` step,
+which does only the command's own work.  One runner, ``_execute``, does
+the steps every command shares: it starts the manifest timer, parses the
+config, resolves the seed, loads the graph (or the ``samples`` file),
+calls ``run``, creates the output directory, writes the outputs and the
+manifest, and prints ``run``'s summary line unless ``--quiet``.  The
+parser is built from the same table; a command's help is the first line
+of its ``run`` docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +56,14 @@ EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 
 GRAPH_KEYS = ("nodes", "edges", "symmetric")
 RATE_KEYS = ("beta0", "beta1", "beta2")
+PRIOR_KEYS = tuple(f.name for f in fields(PriorSpec))
+POPULATION_KEYS = GRAPH_KEYS + RATE_KEYS + (
+    "seed", "t_end", "snapshot_every", "birth", "death", "initial_density"
+)
+FIT_KEYS = GRAPH_KEYS + PRIOR_KEYS + (
+    "seed", "fixture", "model", "data", "response", "covariate",
+    "iterations", "burnin", "thin", "standardize",
+)
 
 
 def _require(cfg, key, path):
@@ -50,26 +72,20 @@ def _require(cfg, key, path):
     return cfg[key]
 
 
-def _as_float(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required numeric key '{key}'")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {cfg[key]!r}")
+_KINDS = {float: ("numeric", "a number"), int: ("integer", "an integer")}
 
 
-def _as_int(cfg, key, default=None):
+def _get(cfg, key, kind=float, default=None):
+    """cfg[key] converted by ``kind`` (float or int); required without a default."""
+    noun, article = _KINDS[kind]
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing required integer key '{key}'")
+            raise ConfigError(f"missing required {noun} key '{key}'")
         return default
     try:
-        return int(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {cfg[key]!r}")
+        raise ConfigError(f"key '{key}': expected {article}, got {cfg[key]!r}")
 
 
 def _as_bool(cfg, key, default=False):
@@ -83,35 +99,24 @@ def _as_bool(cfg, key, default=False):
     raise ConfigError(f"key '{key}': expected a boolean, got {cfg[key]!r}")
 
 
-def _load_cfg_graph(cfg, cfg_path):
-    """Graph from config keys nodes/edges/symmetric; returns (graph, input paths)."""
-    nodes = Path(_require(cfg, "nodes", cfg_path))
-    edges = Path(_require(cfg, "edges", cfg_path))
-    for p in (nodes, edges):
-        if not p.is_file():
-            raise DataError(f"input file not found: {p}")
-    graph = load_graph(nodes, edges, symmetric=_as_bool(cfg, "symmetric"))
-    return graph, [nodes, edges]
+def _input_file(job, key):
+    """The file that config key ``key`` names: it must exist, and the manifest hashes it."""
+    path = Path(_require(job.cfg, key, job.cfg_path))
+    if not path.is_file():
+        raise DataError(f"input file not found: {path}")
+    job.inputs.append(path)
+    return path
+
+
+def _load_cfg_graph(job):
+    """Graph from config keys nodes/edges/symmetric."""
+    nodes, edges = (_input_file(job, key) for key in ("nodes", "edges"))
+    return load_graph(nodes, edges, symmetric=_as_bool(job.cfg, "symmetric"))
 
 
 def _cfg_rates(cfg, graph):
-    params = RateParams(
-        beta=(
-            _as_float(cfg, "beta0", 0.0),
-            _as_float(cfg, "beta1", 0.0),
-            _as_float(cfg, "beta2", 0.0),
-        )
-    )
+    params = RateParams(beta=tuple(_get(cfg, key, default=0.0) for key in RATE_KEYS))
     return build_generator(graph, edge_rates_loglinear(graph, params))
-
-
-def _cfg_priors(cfg):
-    kwargs = {}
-    for key in ("regression_sd", "re_sd_scale", "tau2_shape", "tau2_scale",
-                "rate_beta_sd", "mu_lk_sd"):
-        if key in cfg:
-            kwargs[key] = _as_float(cfg, key)
-    return PriorSpec(**kwargs)
 
 
 def _seed_of(args, cfg):
@@ -129,92 +134,76 @@ def _seed_of(args, cfg):
     raise ConfigError("this command is stochastic: pass --seed or set seed= in the config")
 
 
-def _out_dir(args):
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_text(text, path):
+    path.write_text(text)
 
 
-PRIOR_KEYS = ("regression_sd", "re_sd_scale", "tau2_shape", "tau2_scale",
-              "rate_beta_sd", "mu_lk_sd")
+@dataclass
+class Job:
+    """One command's run: what the runner has read, and where outputs go."""
+
+    cfg: dict
+    cfg_path: Path
+    seed: int | None
+    out: Path
+    inputs: list  # the files the manifest hashes
+    graph: object = None
+    Q: object = None
+    samples: object = None
 
 
-def cmd_build(args):
+@dataclass(frozen=True)
+class Command:
+    """A row of the command table.
+
+    ``run(job)`` returns ``(writes, extra, summary)``: one ``(writer, obj)``
+    pair per entry of ``outputs``, each called as ``writer(obj, *paths)``;
+    extra manifest fields or None; and the line printed unless ``--quiet``.
+    An ``outputs`` entry is a file name, or a tuple of the names that one
+    writer fills.  ``seeded`` is a bool, or a predicate on the config.
+    """
+
+    run: Callable
+    keys: tuple
+    outputs: tuple
+    graph: bool = False  # load nodes/edges into job.graph and build job.Q
+    samples: bool = False  # read the samples file into job.samples
+    seeded: object = False
+
+
+def _build(job):
     """Validate a graph, build its generator, and echo both to the output dir."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, GRAPH_KEYS + RATE_KEYS)
-    graph, inputs = _load_cfg_graph(cfg, cfg_path)
-    Q = _cfg_rates(cfg, graph)
-    out = _out_dir(args)
-    write_graph(graph, out / "nodes.csv", out / "edges.csv")
-    write_json(
-        {
-            "nodes": graph.node_count,
-            "directed_edges": graph.edge_count,
-            "generator_nonzeros": int(Q.rates.nnz),
-            "irreducible": check_irreducible(Q),
-            "max_exit_rate": float(Q.out_rates.max()),
-        },
-        out / "generator.json",
-    )
-    outputs = [out / "nodes.csv", out / "edges.csv", out / "generator.json"]
-    write_manifest(out / "manifest.json", "build", inputs + [cfg_path], None, started, outputs)
-    if not args.quiet:
-        print(f"build: {graph.node_count} nodes, {graph.edge_count} directed edges -> {out}")
-    return 0
+    graph, Q = job.graph, job.Q
+    info = {
+        "nodes": graph.node_count,
+        "directed_edges": graph.edge_count,
+        "generator_nonzeros": int(Q.rates.nnz),
+        "irreducible": check_irreducible(Q),
+        "max_exit_rate": float(Q.out_rates.max()),
+    }
+    return ([(write_graph, graph), (write_json, info)], None,
+            f"build: {graph.node_count} nodes, {graph.edge_count} directed edges -> {job.out}")
 
 
-def cmd_check_ident(args):
+def _check_ident(job):
     """Classify the generator's identifiability and write the report JSON."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, GRAPH_KEYS + RATE_KEYS)
-    graph, inputs = _load_cfg_graph(cfg, cfg_path)
-    Q = _cfg_rates(cfg, graph)
-    report = check_identifiable(Q)
-    out = _out_dir(args)
-    (out / "identifiability.json").write_text(report.to_json() + "\n")
-    write_manifest(
-        out / "manifest.json", "check-ident", inputs + [cfg_path], None, started,
-        [out / "identifiability.json"],
-    )
-    if not args.quiet:
-        print(f"check-ident: {report.classification}")
-    return 0
+    report = check_identifiable(job.Q)
+    return ([(_write_text, report.to_json() + "\n")], None,
+            f"check-ident: {report.classification}")
 
 
-def cmd_simulate_field(args):
+def _simulate_field(job):
     """Draw one intrinsic field realization and write it as node_id,value CSV."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, GRAPH_KEYS + RATE_KEYS + ("sigma", "seed"))
-    seed = _seed_of(args, cfg)
-    graph, inputs = _load_cfg_graph(cfg, cfg_path)
-    Q = _cfg_rates(cfg, graph)
-    fld = IntrinsicField(Q, sigma=_as_float(cfg, "sigma", 1.0))
-    sample = sample_field(fld, seed)
-    out = _out_dir(args)
-    write_field_csv(sample.pi, out / "field.csv")
-    write_manifest(out / "manifest.json", "simulate-field", inputs + [cfg_path], seed,
-                   started, [out / "field.csv"])
-    if not args.quiet:
-        print(f"simulate-field: {fld.dim} nodes -> {out / 'field.csv'}")
-    return 0
+    fld = IntrinsicField(job.Q, sigma=_get(job.cfg, "sigma", default=1.0))
+    sample = sample_field(fld, job.seed)
+    return ([(write_field_csv, sample.pi)], None,
+            f"simulate-field: {fld.dim} nodes -> {job.out / 'field.csv'}")
 
 
-POPSIM_KEYS = GRAPH_KEYS + RATE_KEYS + (
-    "seed", "N", "t_end", "snapshot_every", "birth", "death", "initial_density", "ode"
-)
-
-
-def _cfg_demography(cfg, m):
-    b = _as_float(cfg, "birth", 0.0)
-    d = _as_float(cfg, "death", 0.0)
-    return DemographyRates(b=np.full(m, b), d=np.full(m, d))
-
-
-def _cfg_density(cfg, m):
+def _cfg_population(cfg, m):
+    """Demography, initial density, t_end and snapshot_every of a population run."""
+    demo = DemographyRates(b=np.full(m, _get(cfg, "birth", default=0.0)),
+                           d=np.full(m, _get(cfg, "death", default=0.0)))
     if "initial_density" in cfg:
         parts = cfg["initial_density"].split(";")
         if len(parts) != m:
@@ -227,215 +216,185 @@ def _cfg_density(cfg, m):
             raise ConfigError("initial_density entries must be numbers")
         if (z0 < 0).any():
             raise ConfigError("initial_density entries must be nonnegative")
-        return z0
-    return np.full(m, 1.0 / m)
+        if not np.isfinite(z0).all():
+            raise ConfigError("initial_density entries must be finite")
+    else:
+        z0 = np.full(m, 1.0 / m)
+    return demo, z0, _get(cfg, "t_end"), _get(cfg, "snapshot_every", default=0.1)
 
 
-def cmd_simulate_population(args):
+def _simulate_population(job):
     """Simulate the finite-N jump process (or its large-N limit with ode=true)."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, POPSIM_KEYS)
-    graph, inputs = _load_cfg_graph(cfg, cfg_path)
-    Q = _cfg_rates(cfg, graph)
-    m = graph.node_count
-    demo = _cfg_demography(cfg, m)
-    z0 = _cfg_density(cfg, m)
-    t_end = _as_float(cfg, "t_end")
-    snap = _as_float(cfg, "snapshot_every", 0.1)
-    out = _out_dir(args)
+    cfg, Q = job.cfg, job.Q
+    demo, z0, t_end, snap = _cfg_population(cfg, job.graph.node_count)
     if _as_bool(cfg, "ode"):
-        seed = None
         traj = integrate_limit_ode(Q, demo, z0, t_end, snapshot_every=snap)
         events = None
     else:
-        seed = _seed_of(args, cfg)
-        N = _as_int(cfg, "N")
+        N = _get(cfg, "N", int)
         n0 = np.rint(N * z0).astype(np.int64)
-        traj = simulate_population(Q, demo, n0, N, t_end, seed, snap)
+        traj = simulate_population(Q, demo, n0, N, t_end, job.seed, snap)
         events = {"event_count": traj.event_count, "ended_early": traj.ended_early}
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_manifest(out / "manifest.json", "simulate-population", inputs + [cfg_path],
-                   seed, started, [out / "trajectory.csv"], extra=events)
-    if not args.quiet:
-        kind = "ode" if traj.kind == "density" else f"N={traj.scale}"
-        print(f"simulate-population ({kind}): {traj.times.size} snapshots "
-              f"-> {out / 'trajectory.csv'}")
-    return 0
+    kind = "ode" if traj.kind == "density" else f"N={traj.scale}"
+    return ([(write_trajectory_csv, traj)], events,
+            f"simulate-population ({kind}): {traj.times.size} snapshots "
+            f"-> {job.out / 'trajectory.csv'}")
 
 
-def cmd_convergence(args):
+def _convergence(job):
     """Measure the gap between finite-N paths and the deterministic limit."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(
-        cfg_path,
-        GRAPH_KEYS + RATE_KEYS + ("seed", "N_list", "replicates", "t_end",
-                                  "snapshot_every", "birth", "death", "initial_density"),
-    )
-    seed = _seed_of(args, cfg)
-    graph, inputs = _load_cfg_graph(cfg, cfg_path)
-    Q = _cfg_rates(cfg, graph)
-    m = graph.node_count
+    cfg = job.cfg
     try:
-        N_list = [int(p) for p in _require(cfg, "N_list", cfg_path).split(";")]
+        N_list = [int(p) for p in _require(cfg, "N_list", job.cfg_path).split(";")]
     except ValueError:
         raise ConfigError("N_list entries must be integers (';'-separated)")
-    gaps = convergence_gap(
-        Q,
-        _cfg_demography(cfg, m),
-        _cfg_density(cfg, m),
-        _as_float(cfg, "t_end"),
-        N_list,
-        _as_int(cfg, "replicates", 10),
-        seed,
-        snapshot_every=_as_float(cfg, "snapshot_every", 0.1),
-    )
-    out = _out_dir(args)
-    write_json({str(n): g for n, g in gaps.items()}, out / "convergence.json")
-    write_manifest(out / "manifest.json", "convergence", inputs + [cfg_path], seed,
-                   started, [out / "convergence.json"])
-    if not args.quiet:
-        for n in N_list:
-            print(f"convergence: N={n} median sup-norm gap {gaps[n]:.4g}")
-    return 0
+    demo, z0, t_end, snap = _cfg_population(cfg, job.graph.node_count)
+    gaps = convergence_gap(job.Q, demo, z0, t_end, N_list, _get(cfg, "replicates", int, 10),
+                           job.seed, snapshot_every=snap)
+    return ([(write_json, {str(n): g for n, g in gaps.items()})], None,
+            "\n".join(f"convergence: N={n} median sup-norm gap {gaps[n]:.4g}"
+                      for n in N_list))
 
 
-FIT_KEYS = GRAPH_KEYS + PRIOR_KEYS + (
-    "seed", "fixture", "model", "data", "response", "covariate",
-    "iterations", "burnin", "thin", "standardize",
-)
+def _read_data_table(path, rcol, hcol, m):
+    """Columns rcol and hcol of a node_id-keyed CSV, in node order.
+
+    The node ids must be 0..m-1 with no gaps or duplicates, the rule of
+    ``load_graph``; a bad id or cell is a ``DataError`` naming its line.
+    """
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        cols = reader.fieldnames or []
+        for c in ("node_id", rcol, hcol):
+            if c not in cols:
+                raise DataError(f"{path}: missing column '{c}'")
+        rows = [(reader.line_num, r) for r in reader]
+    if len(rows) != m:
+        raise DataError(f"{path}: expected {m} rows, got {len(rows)}")
+    values = np.empty((2, m))
+    seen = np.zeros(m, dtype=bool)
+    for lineno, r in rows:
+        try:
+            i = int(r["node_id"])
+            cells = float(r[rcol]), float(r[hcol])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed data record ({exc})") from None
+        if not 0 <= i < m or seen[i]:
+            raise DataError(
+                f"{path}:{lineno}: node ids must be 0..{m-1} with no gaps or duplicates"
+            )
+        seen[i] = True
+        values[:, i] = cells
+    return values
 
 
-def _fit_spec(cfg, cfg_path):
-    """Assemble a GaussianModelSpec from config; returns (spec, input paths)."""
+def _fit_spec(job):
+    """GaussianModelSpec from the config: the Columbus fixture, or graph and data files."""
+    cfg, cfg_path = job.cfg, job.cfg_path
     model = _require(cfg, "model", cfg_path)
     variant = {"spatial": SPATIAL, "diffusion": DIFFUSION}.get(model)
     if variant is None:
         raise ConfigError(f"model must be 'spatial' or 'diffusion', got {model!r}")
     if cfg.get("fixture") == "columbus":
-        graph, crime, home = columbus_fixture()
-        response, covariate, inputs = crime, home, []
+        graph, response, covariate = columbus_fixture()
     elif "fixture" in cfg:
         raise ConfigError(f"unknown fixture {cfg['fixture']!r} (available: columbus)")
     else:
-        graph, inputs = _load_cfg_graph(cfg, cfg_path)
-        data = Path(_require(cfg, "data", cfg_path))
-        if not data.is_file():
-            raise DataError(f"input file not found: {data}")
-        inputs.append(data)
-        rcol = _require(cfg, "response", cfg_path)
-        hcol = _require(cfg, "covariate", cfg_path)
-        import csv as _csv
-
-        with open(data, newline="") as f:
-            reader = _csv.DictReader(f)
-            cols = reader.fieldnames or []
-            for c in ("node_id", rcol, hcol):
-                if c not in cols:
-                    raise DataError(f"{data}: missing column '{c}'")
-            rows = sorted(reader, key=lambda r: int(r["node_id"]))
-        if len(rows) != graph.node_count:
-            raise DataError(
-                f"{data}: expected {graph.node_count} rows, got {len(rows)}"
-            )
-        response = np.array([float(r[rcol]) for r in rows])
-        covariate = np.array([float(r[hcol]) for r in rows])
-    spec = GaussianModelSpec(
+        graph = _load_cfg_graph(job)
+        data = _input_file(job, "data")
+        response, covariate = _read_data_table(
+            data, _require(cfg, "response", cfg_path), _require(cfg, "covariate", cfg_path),
+            graph.node_count,
+        )
+    return GaussianModelSpec(
         response=response,
         covariate=covariate,
         variant=variant,
         graph=graph,
-        priors=_cfg_priors(cfg),
+        priors=PriorSpec(**{key: _get(cfg, key) for key in PRIOR_KEYS if key in cfg}),
         standardize=_as_bool(cfg, "standardize", True),
     )
-    return spec, inputs
 
 
-def cmd_fit(args):
+def _fit(job):
     """Run the Gibbs sampler and write draws, summaries, and the manifest."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, FIT_KEYS)
-    seed = _seed_of(args, cfg)
-    spec, inputs = _fit_spec(cfg, cfg_path)
+    cfg = job.cfg
     samples = fit_gaussian(
-        spec,
-        iterations=_as_int(cfg, "iterations"),
-        burnin=_as_int(cfg, "burnin"),
-        seed=seed,
-        thin=_as_int(cfg, "thin", 1),
+        _fit_spec(job),
+        iterations=_get(cfg, "iterations", int),
+        burnin=_get(cfg, "burnin", int),
+        seed=job.seed,
+        thin=_get(cfg, "thin", int, 1),
     )
-    out = _out_dir(args)
-    write_samples_csv(samples, out / "samples.csv")
-    write_json(
-        {"summary": samples.summary(), "metadata": samples.metadata},
-        out / "summary.json",
-    )
-    write_manifest(out / "manifest.json", "fit", inputs + [cfg_path], seed, started,
-                   [out / "samples.csv", out / "summary.json"])
-    if not args.quiet:
-        s = samples.summary()
-        shown = ", ".join(
-            f"{k}={s[k]['mean']:.3f}" for k in ("mu", "beta", "sigma", "tau")
-        )
-        print(f"fit: {samples.n_draws} draws; posterior means {shown}")
-    return 0
+    s = samples.summary()
+    shown = ", ".join(f"{k}={s[k]['mean']:.3f}" for k in ("mu", "beta", "sigma", "tau"))
+    return ([(write_samples_csv, samples),
+             (write_json, {"summary": s, "metadata": samples.metadata})], None,
+            f"fit: {samples.n_draws} draws; posterior means {shown}")
 
 
-def cmd_dic(args):
+def _dic(job):
     """DIC for a finished fit: needs the fit config plus its samples.csv."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, FIT_KEYS + ("samples",))
-    spec, inputs = _fit_spec(cfg, cfg_path)
-    samples_path = Path(_require(cfg, "samples", cfg_path))
-    if not samples_path.is_file():
-        raise DataError(f"input file not found: {samples_path}")
-    samples = read_samples_csv(samples_path)
-    result = compute_dic(samples, gaussian_loglik_fn(spec))
-    out = _out_dir(args)
-    write_json(result.to_dict(), out / "dic.json")
-    write_manifest(out / "manifest.json", "dic", inputs + [cfg_path, samples_path],
-                   None, started, [out / "dic.json"])
-    if not args.quiet:
-        print(f"dic: {result.dic:.2f} (p_d {result.p_d:.2f})")
-    return 0
+    result = compute_dic(job.samples, gaussian_loglik_fn(_fit_spec(job)))
+    return ([(write_json, result.to_dict())], None,
+            f"dic: {result.dic:.2f} (p_d {result.p_d:.2f})")
 
 
-def cmd_diagnose(args):
+def _diagnose(job):
     """Split-half convergence check on a samples file; flags unstable marginals."""
-    started = time.time()
-    cfg_path = args.config
-    cfg = parse_config(cfg_path, ("samples",))
-    samples_path = Path(_require(cfg, "samples", cfg_path))
-    if not samples_path.is_file():
-        raise DataError(f"input file not found: {samples_path}")
-    report = split_half_diagnostic(read_samples_csv(samples_path))
-    out = _out_dir(args)
-    write_json(report, out / "diagnostics.json")
-    write_manifest(out / "manifest.json", "diagnose", [cfg_path, samples_path], None,
-                   started, [out / "diagnostics.json"])
+    report = split_half_diagnostic(job.samples)
     flagged = [k for k, v in report.items() if v["flagged"]]
-    if not args.quiet:
-        if flagged:
-            print(f"diagnose: {len(flagged)} flagged parameter(s): "
-                  + ", ".join(flagged[:10]))
-        else:
-            print("diagnose: no flags")
-    return 0
+    if flagged:
+        summary = f"diagnose: {len(flagged)} flagged parameter(s): " + ", ".join(flagged[:10])
+    else:
+        summary = "diagnose: no flags"
+    return [(write_json, report)], None, summary
 
 
 COMMANDS = {
-    "build": cmd_build,
-    "check-ident": cmd_check_ident,
-    "simulate-field": cmd_simulate_field,
-    "simulate-population": cmd_simulate_population,
-    "convergence": cmd_convergence,
-    "fit": cmd_fit,
-    "dic": cmd_dic,
-    "diagnose": cmd_diagnose,
+    "build": Command(_build, GRAPH_KEYS + RATE_KEYS,
+                     (("nodes.csv", "edges.csv"), "generator.json"), graph=True),
+    "check-ident": Command(_check_ident, GRAPH_KEYS + RATE_KEYS, ("identifiability.json",),
+                           graph=True),
+    "simulate-field": Command(_simulate_field, GRAPH_KEYS + RATE_KEYS + ("sigma", "seed"),
+                              ("field.csv",), graph=True, seeded=True),
+    "simulate-population": Command(_simulate_population, POPULATION_KEYS + ("N", "ode"),
+                                   ("trajectory.csv",), graph=True,
+                                   seeded=lambda cfg: not _as_bool(cfg, "ode")),
+    "convergence": Command(_convergence, POPULATION_KEYS + ("N_list", "replicates"),
+                           ("convergence.json",), graph=True, seeded=True),
+    "fit": Command(_fit, FIT_KEYS, ("samples.csv", "summary.json"), seeded=True),
+    "dic": Command(_dic, FIT_KEYS + ("samples",), ("dic.json",), samples=True),
+    "diagnose": Command(_diagnose, ("samples",), ("diagnostics.json",), samples=True),
 }
+
+
+def _execute(args):
+    """Run one command end to end; the steps every command shares."""
+    cmd = COMMANDS[args.command]
+    started = time.time()
+    cfg_path = args.config
+    cfg = parse_config(cfg_path, cmd.keys)
+    seeded = cmd.seeded(cfg) if callable(cmd.seeded) else cmd.seeded
+    job = Job(cfg, cfg_path, _seed_of(args, cfg) if seeded else None,
+              args.out or Path("."), [cfg_path])
+    if cmd.graph:
+        job.graph = _load_cfg_graph(job)
+        job.Q = _cfg_rates(cfg, job.graph)
+    if cmd.samples:
+        job.samples = read_samples_csv(_input_file(job, "samples"))
+    writes, extra, summary = cmd.run(job)
+    job.out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for names, (write, obj) in zip(cmd.outputs, writes):
+        paths = [job.out / name for name in ((names,) if isinstance(names, str) else names)]
+        write(obj, *paths)
+        outputs += paths
+    write_manifest(job.out / "manifest.json", args.command, job.inputs, job.seed, started,
+                   outputs, extra=extra)
+    if not args.quiet:
+        print(summary)
+    return 0
 
 
 def build_parser():
@@ -445,20 +404,21 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0], description=fn.__doc__)
+    for name, cmd in COMMANDS.items():
+        doc = cmd.run.__doc__
+        p = sub.add_parser(name, help=doc.splitlines()[0], description=doc)
         p.add_argument("--config", required=True, type=Path, help="flat key=value config file")
         p.add_argument("--seed", type=int, help="RNG seed (required for stochastic commands)")
         p.add_argument("--out", type=Path, help="output directory (default: cwd)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "fn", None) is None:
-        build_parser().print_help()
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
         return 2
     if args.seed is not None and args.seed < 0:
         print("walkfield: seed must be nonnegative", file=sys.stderr)
@@ -467,7 +427,7 @@ def main(argv=None) -> int:
         print(f"walkfield: config file not found: {args.config}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        return _execute(args)
     except WalkfieldError as exc:
         code = EXIT_CODES.get(type(exc), 1)
         print(f"walkfield: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from scipy.linalg import helmert
 from ..errors import DataError, NumericalError
 from ..field import constrained_solve, stationary_precision
 from ..graph import GeneratorMatrix, RateParams, build_generator, check_irreducible, edge_rates_loglinear
-from .specs import DIFFUSION, GaussianModelSpec, PosteriorSamples
+from .specs import DIFFUSION, GaussianModelSpec, PosteriorSamples, chain_length
 
 SIGMA_TARGET_ACC = 0.44
 
@@ -99,8 +99,7 @@ def fit_gaussian(
     A (mu, beta) posterior precision that fails to factor raises
     ``NumericalError``.
     """
-    if iterations <= burnin:
-        raise DataError("iterations must exceed burnin")
+    n_keep = chain_length(iterations, burnin, thin)
     pr = spec.priors
     c = spec.response
     m = c.size
@@ -134,7 +133,6 @@ def fit_gaussian(
     sx = float(x.sum())
     sxx = float(x @ x)
     Ut = U.T
-    n_keep = (iterations - burnin + thin - 1) // thin
     names = ["mu", "beta", "sigma", "tau"] + [f"eta_{i}" for i in range(m)]
     draws = np.empty((n_keep, len(names)))
     logliks = np.empty(n_keep)

@@ -39,7 +39,7 @@ from ..errors import DataError, NumericalError
 # this module, where bench/spans.py wraps it with the other layer calls
 from ..field import constrained_solve, stationary_precision  # noqa: F401
 from ..graph import RateModel, RateParams, build_generator, check_irreducible, edge_rates_loglinear
-from .specs import GeneticsModelSpec, PosteriorSamples
+from .specs import GeneticsModelSpec, PosteriorSamples, chain_length
 
 BETA_TARGET_ACC = 0.234
 _TAIL = 6.0
@@ -299,6 +299,7 @@ def fit_probit_genetics(
     ``NumericalError`` and the final beta step, ``beta_step``, which stops
     adapting at the end of burn-in.
     """
+    n_keep = chain_length(iterations, burnin, thin, compute_loglik_every)
     pr = spec.priors
     m = spec.graph.node_count
     s_of_ind = spec.node_of_individual
@@ -374,7 +375,6 @@ def fit_probit_genetics(
     for l, k in enumerate(n_cats):
         names += [f"eta_{l}_{kk}_{s}" for kk in range(k) for s in range(m)]
 
-    n_keep = (iterations - burnin + thin - 1) // thin
     draws = np.empty((n_keep, len(names)))
     logliks = np.empty(n_keep)
     kept = 0

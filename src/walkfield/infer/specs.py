@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,10 +31,26 @@ class PriorSpec:
     mu_lk_sd: float = 10.0
 
     def __post_init__(self):
-        for name in ("regression_sd", "re_sd_scale", "tau2_shape", "tau2_scale",
-                     "rate_beta_sd", "mu_lk_sd"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"prior hyperparameter {name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise DataError(f"prior hyperparameter {f.name} must be positive")
+
+
+def chain_length(iterations, burnin, thin=1, compute_loglik_every=1) -> int:
+    """Draws a chain keeps: every ``thin``-th sweep from ``burnin`` on.
+
+    The samplers' one check of their chain arguments: ``DataError`` unless
+    iterations > burnin >= 0, thin >= 1 and compute_loglik_every >= 1.
+    """
+    if burnin < 0:
+        raise DataError(f"burnin must be nonnegative, got {burnin}")
+    if iterations <= burnin:
+        raise DataError("iterations must exceed burnin")
+    if thin < 1:
+        raise DataError(f"thin must be at least 1, got {thin}")
+    if compute_loglik_every < 1:
+        raise DataError(f"compute_loglik_every must be at least 1, got {compute_loglik_every}")
+    return (iterations - burnin + thin - 1) // thin
 
 
 @dataclass(frozen=True)

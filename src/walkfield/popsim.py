@@ -394,6 +394,8 @@ def convergence_gap(
     N_list = list(N_list)
     if any(b >= a for a, b in zip(N_list[1:], N_list)):
         raise DataError("N_list must be strictly increasing")
+    if replicates < 1:
+        raise DataError(f"replicates must be at least 1, got {replicates}")
     z0 = np.asarray(z0, dtype=float)
     ode = integrate_limit_ode(Q, demo, z0, t_end, snapshot_every=snapshot_every)
     z_ref = ode.values

@@ -23,6 +23,7 @@ from walkfield.infer.specs import (
     GaussianModelSpec,
     PosteriorSamples,
     PriorSpec,
+    chain_length,
 )
 
 from test_graph import line_graph, random_graph
@@ -213,6 +214,26 @@ def directed_cycle_spec():
     g = SpatialGraph(m, tuple(f"n{i}" for i in range(m)), tuple(edges))
     return GaussianModelSpec(response=rng.normal(size=m), covariate=rng.normal(size=m),
                              variant=SPATIAL, graph=g)
+
+
+@pytest.mark.parametrize("iterations, burnin, thin, match", [
+    (100, -1, 1, "burnin must be nonnegative"),
+    (10, 10, 1, "iterations must exceed burnin"),
+    (5, 10, 1, "iterations must exceed burnin"),
+    (100, 10, 0, "thin must be at least 1"),
+    (100, 10, -2, "thin must be at least 1"),
+], ids=["negative-burnin", "no-draws", "burnin-past-end", "thin-0", "negative-thin"])
+def test_fit_gaussian_rejects_bad_chain_lengths(iterations, burnin, thin, match):
+    with pytest.raises(DataError, match=match):
+        fit_gaussian(directed_cycle_spec(), iterations=iterations, burnin=burnin, seed=0,
+                     thin=thin)
+
+
+def test_chain_length_counts_the_kept_sweeps():
+    for iterations, burnin, thin in [(1, 0, 1), (10, 3, 3), (10, 3, 7), (10, 3, 8), (9, 0, 2)]:
+        assert chain_length(iterations, burnin, thin) == len(range(burnin, iterations, thin))
+    s = fit_gaussian(directed_cycle_spec(), iterations=20, burnin=5, seed=0, thin=4)
+    assert s.n_draws == chain_length(20, 5, 4) == 4
 
 
 class TestDirectedGraph:

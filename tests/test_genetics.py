@@ -207,6 +207,19 @@ class TestSampler:
         assert abs(mu_col.mean()) < 0.1
         assert mu_col.std() == pytest.approx(1.5, rel=0.1)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(iterations=10, burnin=10), "iterations must exceed burnin"),
+        (dict(iterations=5, burnin=10), "iterations must exceed burnin"),
+        (dict(iterations=10, burnin=-1), "burnin must be nonnegative"),
+        (dict(iterations=10, burnin=2, thin=0), "thin must be at least 1"),
+        (dict(iterations=10, burnin=2, compute_loglik_every=0),
+         "compute_loglik_every must be at least 1"),
+    ], ids=["no-draws", "burnin-past-end", "negative-burnin", "thin-0", "loglik-every-0"])
+    def test_rejects_bad_chain_lengths(self, small_sim, kw, match):
+        spec, _ = small_sim
+        with pytest.raises(DataError, match=match):
+            fit_probit_genetics(spec, seed=2, **kw)
+
     def test_beta_step_is_recorded(self, small_sim):
         spec, _ = small_sim
         s = fit_probit_genetics(spec, iterations=40, burnin=30, seed=2)

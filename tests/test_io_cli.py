@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import time
 import warnings
 
@@ -409,6 +410,67 @@ def test_cli_malformed_samples_exit_3(tmp_path, capsys):
     assert str(samples) in err and "Traceback" not in err
 
 
+FIT_DATA = "node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n"
+
+
+def _fit_cfg(tmp_path, cli_graph, data_text=FIT_DATA, extra=""):
+    nodes, edges = cli_graph
+    data = tmp_path / "data.csv"
+    data.write_text(data_text)
+    return write_cfg(
+        tmp_path,
+        f"nodes={nodes}\nedges={edges}\nsymmetric=true\nmodel=spatial\n"
+        f"data={data}\nresponse=y\ncovariate=h\niterations=300\nburnin=100\n" + extra,
+    )
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("1,2.0,", "1,two,", r"data\.csv:3: malformed data record"),
+    ("2,0.5,", "x,0.5,", r"data\.csv:4: malformed data record"),
+    ("1,2.0,-0.1\n", "1,2.0\n", r"data\.csv:3: malformed data record"),
+    ("1,2.0,", "0,2.0,", r"data\.csv:3: node ids must be 0\.\.3 with no gaps or duplicates"),
+    ("3,1.5,", "4,1.5,", r"data\.csv:5: node ids must be 0\.\.3"),
+    ("2,0.5,", "-2,0.5,", r"data\.csv:4: node ids must be 0\.\.3"),
+], ids=["response-not-a-number", "node-id-not-a-number", "short-row", "duplicate-id",
+        "id-past-end", "negative-id"])
+def test_cli_fit_bad_data_table_exit_3(tmp_path, cli_graph, capsys, old, new, match):
+    cfg = _fit_cfg(tmp_path, cli_graph, FIT_DATA.replace(old, new))
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--seed", "5", "--out", str(out),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_fit_data_rows_in_any_order(tmp_path, cli_graph):
+    lines = FIT_DATA.splitlines()
+    shuffled = "\n".join([lines[0]] + lines[:0:-1]) + "\n"
+    outs = []
+    for name, text in (("sorted", FIT_DATA), ("shuffled", shuffled)):
+        out = tmp_path / name
+        sub = tmp_path / f"{name}-cfg"
+        sub.mkdir()
+        assert main(["fit", "--config", str(_fit_cfg(sub, cli_graph, text)), "--seed", "5",
+                     "--out", str(out), "--quiet"]) == 0
+        outs.append((out / "samples.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("burnin=100\n", "burnin=100\nthin=0\n", "thin must be at least 1"),
+    ("burnin=100\n", "burnin=100\nthin=-1\n", "thin must be at least 1"),
+    ("burnin=100", "burnin=-5", "burnin must be nonnegative"),
+    ("burnin=100", "burnin=300", "iterations must exceed burnin"),
+], ids=["thin-0", "negative-thin", "negative-burnin", "no-draws"])
+def test_cli_fit_bad_chain_length_exit_3(tmp_path, cli_graph, capsys, old, new, match):
+    cfg = _fit_cfg(tmp_path, cli_graph)
+    cfg.write_text(cfg.read_text().replace(old, new))
+    assert main(["fit", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "f"),
+                 "--quiet"]) == 3
+    assert match in capsys.readouterr().err
+
+
 def test_cli_manifest_wall_time_covers_the_fit(tmp_path, cli_graph, monkeypatch):
     nodes, edges = cli_graph
     data = tmp_path / "data.csv"
@@ -435,6 +497,41 @@ def test_cli_manifest_wall_time_covers_the_fit(tmp_path, cli_graph, monkeypatch)
     assert (slow / "samples.csv").read_bytes() == (fast / "samples.csv").read_bytes()
 
 
+@pytest.mark.parametrize("replicates", ["0", "-1"])
+def test_cli_convergence_without_replicates_exit_3(tmp_path, cli_graph, capsys, replicates):
+    nodes, edges = cli_graph
+    cfg = write_cfg(
+        tmp_path,
+        f"nodes={nodes}\nedges={edges}\nsymmetric=true\n"
+        f"N_list=50;200\nt_end=0.5\nreplicates={replicates}\nseed=2\n",
+    )
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert "replicates must be at least 1" in capsys.readouterr().err
+    assert not (out / "convergence.json").exists()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("simulate-population", "N=200\nseed=3\n"),
+    ("simulate-population", "ode=true\n"),
+    ("convergence", "N_list=50\nreplicates=2\nseed=3\n"),
+], ids=["population", "ode", "convergence"])
+@pytest.mark.parametrize("entry", ["inf", "nan"])
+def test_cli_non_finite_initial_density_exit_2(tmp_path, cli_graph, capsys, command,
+                                               settings, entry):
+    nodes, edges = cli_graph
+    cfg = write_cfg(
+        tmp_path,
+        f"nodes={nodes}\nedges={edges}\nsymmetric=true\nt_end=0.5\n"
+        f"initial_density=0.25;{entry};0.25;0.25\n" + settings,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "p"),
+                     "--quiet"]) == 2
+    assert "initial_density entries must be finite" in capsys.readouterr().err
+
+
 def test_cli_convergence(tmp_path, cli_graph):
     nodes, edges = cli_graph
     cfg = write_cfg(
@@ -447,3 +544,95 @@ def test_cli_convergence(tmp_path, cli_graph):
     rep = json.loads((out / "convergence.json").read_text())
     assert set(rep) == {"50", "200"}
     assert all(v >= 0 for v in rep.values())
+
+
+def test_cli_commands_pin_manifest_and_stdout(tmp_path, cli_graph, capsys):
+    """Every command's manifest shape, input order, outputs, seed and summary line.
+
+    Each run goes twice, quiet and then not; the outputs must be the same
+    bytes, and the manifests the same apart from their output paths and
+    wall time.  The summary line is rebuilt from the written outputs.
+    """
+    nodes, edges = cli_graph
+    data = tmp_path / "data.csv"
+    data.write_text("node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n")
+    base = f"nodes={nodes}\nedges={edges}\nsymmetric=true\n"
+    fit = (base + f"model=spatial\ndata={data}\nresponse=y\ncovariate=h\n"
+           "iterations=300\nburnin=100\n")
+    samples = tmp_path / "fit-a" / "samples.csv"
+
+    def read(out, name):
+        return json.loads((out / name).read_text())
+
+    def fit_line(out):
+        s = read(out, "summary.json")["summary"]
+        shown = ", ".join(f"{k}={s[k]['mean']:.3f}" for k in ("mu", "beta", "sigma", "tau"))
+        n = len((out / "samples.csv").read_text().splitlines()) - 1
+        return [f"fit: {n} draws; posterior means {shown}"]
+
+    def diagnose_line(out):
+        names = samples.read_text().splitlines()[0].split(",")[:-1]
+        report = read(out, "diagnostics.json")
+        flagged = [k for k in names if report[k]["flagged"]]
+        if not flagged:
+            return ["diagnose: no flags"]
+        return [f"diagnose: {len(flagged)} flagged parameter(s): " + ", ".join(flagged[:10])]
+
+    traj = "simulate-population ({}): 5 snapshots -> {}"
+    # run, command, config, flags, inputs besides the config, outputs,
+    # seed, extra manifest keys, summary lines
+    runs = [
+        ("build", "build", base, [], [nodes, edges],
+         ["nodes.csv", "edges.csv", "generator.json"], None, set(),
+         lambda out: [f"build: 4 nodes, 8 directed edges -> {out}"]),
+        ("check-ident", "check-ident", base, [], [nodes, edges],
+         ["identifiability.json"], None, set(),
+         lambda out: [f"check-ident: {read(out, 'identifiability.json')['classification']}"]),
+        ("simulate-field", "simulate-field", base + "sigma=1.5\n", ["--seed", "3"],
+         [nodes, edges], ["field.csv"], 3, set(),
+         lambda out: [f"simulate-field: 4 nodes -> {out / 'field.csv'}"]),
+        ("simulate-population", "simulate-population",
+         base + "N=300\nt_end=1.0\nsnapshot_every=0.25\n", ["--seed", "3"],
+         [nodes, edges], ["trajectory.csv"], 3, {"event_count", "ended_early"},
+         lambda out: [traj.format("N=300", out / "trajectory.csv")]),
+        ("ode", "simulate-population",
+         base + "t_end=1.0\nsnapshot_every=0.25\node=true\n", ["--seed", "3"],
+         [nodes, edges], ["trajectory.csv"], None, set(),
+         lambda out: [traj.format("ode", out / "trajectory.csv")]),
+        ("convergence", "convergence", base + "N_list=50;200\nt_end=0.5\nreplicates=3\n",
+         ["--seed", "3"], [nodes, edges], ["convergence.json"], 3, set(),
+         lambda out: [f"convergence: N={n} median sup-norm gap "
+                      f"{read(out, 'convergence.json')[str(n)]:.4g}" for n in (50, 200)]),
+        ("fit", "fit", fit, ["--seed", "3"], [nodes, edges, data],
+         ["samples.csv", "summary.json"], 3, set(), fit_line),
+        ("fixture", "fit", "fixture=columbus\nmodel=diffusion\niterations=60\nburnin=10\n",
+         ["--seed", "4"], [], ["samples.csv", "summary.json"], 4, set(), fit_line),
+        ("dic", "dic", fit + f"samples={samples}\nseed=9\n", ["--seed", "5"],
+         [nodes, edges, data, samples], ["dic.json"], None, set(),
+         lambda out: ["dic: {dic:.2f} (p_d {p_d:.2f})".format(**read(out, "dic.json"))]),
+        ("diagnose", "diagnose", f"samples={samples}\n", [], [samples],
+         ["diagnostics.json"], None, set(), diagnose_line),
+    ]
+    for run, command, text, flags, inputs, outputs, seed, extra, lines in runs:
+        cfg = write_cfg(tmp_path, text, name=f"{run}.cfg")
+        quiet, loud = tmp_path / f"{run}-a", tmp_path / f"{run}-b"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(quiet), "--quiet"]
+                    + flags) == 0, run
+        assert capsys.readouterr().out == "", run
+        assert main([command, "--config", str(cfg), "--out", str(loud)] + flags) == 0, run
+        assert capsys.readouterr().out.splitlines() == lines(loud), run
+        manifests = [read(out, "manifest.json") for out in (quiet, loud)]
+        for out, manifest in zip((quiet, loud), manifests):
+            assert set(manifest) == {"command", "inputs", "outputs", "seed", "version",
+                                     "wall_time_s"} | extra, run
+            assert manifest["command"] == command
+            # written with sorted keys, so the file lists the inputs by path
+            assert list(manifest["inputs"]) == sorted(str(p) for p in inputs + [cfg])
+            assert manifest["inputs"][str(cfg)] == file_sha256(cfg)
+            assert manifest["outputs"] == [str(out / name) for name in outputs], run
+            assert manifest["seed"] == seed, run
+        for key in ("inputs", "seed", "version", *extra):
+            assert manifests[0][key] == manifests[1][key], (run, key)
+        for name in outputs:
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes(), (run, name)

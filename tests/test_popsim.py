@@ -476,6 +476,12 @@ class TestConvergenceGap:
             convergence_gap(Q, no_demography(2), [0.5, 0.5], 1.0,
                             N_list=[100, 100], replicates=2, seed=0)
 
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_requires_a_replicate(self, replicates):
+        with pytest.raises(DataError, match="replicates must be at least 1"):
+            convergence_gap(two_node_Q(), no_demography(2), [0.5, 0.5], 1.0,
+                            N_list=[100], replicates=replicates, seed=0)
+
     def test_replicate_streams_are_seed_stable(self):
         Q = two_node_Q()
         demo = no_demography(2)
