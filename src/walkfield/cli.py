@@ -11,11 +11,12 @@ config keys the command accepts, whether it loads the graph and builds
 ``Q``, whether it needs a seed, its output files and its ``run`` step,
 which does only the command's own work.  One runner, ``_execute``, does
 the steps every command shares: it starts the manifest timer, parses the
-config, resolves the seed, loads the graph (or the ``samples`` file),
-calls ``run``, creates the output directory, writes the outputs and the
-manifest, and prints ``run``'s summary line unless ``--quiet``.  The
-parser is built from the same table; a command's help is the first line
-of its ``run`` docstring.
+config, resolves the seed, loads the graph and builds ``Q``, calls
+``run``, creates the output directory, writes the outputs and the
+manifest, and prints ``run``'s summary line unless ``--quiet``.  Every
+input file goes through ``_input_file``, which checks that it exists and
+records it for the manifest to hash.  The parser is built from the same
+table; a command's help is the first line of its ``run`` docstring.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ class Job:
     inputs: list  # the files the manifest hashes
     graph: object = None
     Q: object = None
-    samples: object = None
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,6 @@ class Command:
     keys: tuple
     outputs: tuple
     graph: bool = False  # load nodes/edges into job.graph and build job.Q
-    samples: bool = False  # read the samples file into job.samples
     seeded: object = False
 
 
@@ -335,14 +334,16 @@ def _fit(job):
 
 def _dic(job):
     """DIC for a finished fit: needs the fit config plus its samples.csv."""
-    result = compute_dic(job.samples, gaussian_loglik_fn(_fit_spec(job)))
+    spec = _fit_spec(job)
+    samples = read_samples_csv(_input_file(job, "samples"))
+    result = compute_dic(samples, gaussian_loglik_fn(spec))
     return ([(write_json, result.to_dict())], None,
             f"dic: {result.dic:.2f} (p_d {result.p_d:.2f})")
 
 
 def _diagnose(job):
     """Split-half convergence check on a samples file; flags unstable marginals."""
-    report = split_half_diagnostic(job.samples)
+    report = split_half_diagnostic(read_samples_csv(_input_file(job, "samples")))
     flagged = [k for k, v in report.items() if v["flagged"]]
     if flagged:
         summary = f"diagnose: {len(flagged)} flagged parameter(s): " + ", ".join(flagged[:10])
@@ -364,8 +365,8 @@ COMMANDS = {
     "convergence": Command(_convergence, POPULATION_KEYS + ("N_list", "replicates"),
                            ("convergence.json",), graph=True, seeded=True),
     "fit": Command(_fit, FIT_KEYS, ("samples.csv", "summary.json"), seeded=True),
-    "dic": Command(_dic, FIT_KEYS + ("samples",), ("dic.json",), samples=True),
-    "diagnose": Command(_diagnose, ("samples",), ("diagnostics.json",), samples=True),
+    "dic": Command(_dic, FIT_KEYS + ("samples",), ("dic.json",)),
+    "diagnose": Command(_diagnose, ("samples",), ("diagnostics.json",)),
 }
 
 
@@ -381,8 +382,6 @@ def _execute(args):
     if cmd.graph:
         job.graph = _load_cfg_graph(job)
         job.Q = _cfg_rates(cfg, job.graph)
-    if cmd.samples:
-        job.samples = read_samples_csv(_input_file(job, "samples"))
     writes, extra, summary = cmd.run(job)
     job.out.mkdir(parents=True, exist_ok=True)
     outputs = []
