@@ -385,7 +385,7 @@ def _execute(args):
     writes, extra, summary = cmd.run(job)
     job.out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for names, (write, obj) in zip(cmd.outputs, writes):
+    for names, (write, obj) in zip(cmd.outputs, writes, strict=True):
         paths = [job.out / name for name in ((names,) if isinstance(names, str) else names)]
         write(obj, *paths)
         outputs += paths
