@@ -413,14 +413,14 @@ def test_cli_malformed_samples_exit_3(tmp_path, capsys):
 FIT_DATA = "node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n"
 
 
-def _fit_cfg(tmp_path, cli_graph, data_text=FIT_DATA, extra=""):
+def _fit_cfg(tmp_path, cli_graph, data_text=FIT_DATA):
     nodes, edges = cli_graph
     data = tmp_path / "data.csv"
     data.write_text(data_text)
     return write_cfg(
         tmp_path,
         f"nodes={nodes}\nedges={edges}\nsymmetric=true\nmodel=spatial\n"
-        f"data={data}\nresponse=y\ncovariate=h\niterations=300\nburnin=100\n" + extra,
+        f"data={data}\nresponse=y\ncovariate=h\niterations=300\nburnin=100\n",
     )
 
 
@@ -555,7 +555,7 @@ def test_cli_commands_pin_manifest_and_stdout(tmp_path, cli_graph, capsys):
     """
     nodes, edges = cli_graph
     data = tmp_path / "data.csv"
-    data.write_text("node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n")
+    data.write_text(FIT_DATA)
     base = f"nodes={nodes}\nedges={edges}\nsymmetric=true\n"
     fit = (base + f"model=spatial\ndata={data}\nresponse=y\ncovariate=h\n"
            "iterations=300\nburnin=100\n")
