@@ -259,7 +259,8 @@ def _read_data_table(path, rcol, hcol, m):
     """Columns rcol and hcol of a node_id-keyed CSV, in node order.
 
     The node ids must be 0..m-1 with no gaps or duplicates, the rule of
-    ``load_graph``; a bad id or cell is a ``DataError`` naming its line.
+    ``load_graph``; a bad id, or a cell that is not a finite number, is a
+    ``DataError`` naming its line.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -278,6 +279,8 @@ def _read_data_table(path, rcol, hcol, m):
             cells = float(r[rcol]), float(r[hcol])
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: malformed data record ({exc})") from None
+        if not np.isfinite(cells).all():
+            raise DataError(f"{path}:{lineno}: non-finite value in data record")
         if not 0 <= i < m or seen[i]:
             raise DataError(
                 f"{path}:{lineno}: node ids must be 0..{m-1} with no gaps or duplicates"

@@ -2,7 +2,13 @@
 
 from .diagnostics import compute_dic, split_half_diagnostic
 from .gaussian import fit_gaussian, gaussian_loglik_fn, graph_generator, smooth_covariate
-from .genetics import category_probs, fit_probit_genetics, simulate_genetics, truncated_normal
+from .genetics import (
+    category_probs,
+    fit_probit_genetics,
+    genetics_loglik_fn,
+    simulate_genetics,
+    truncated_normal,
+)
 from .specs import (
     DIFFUSION,
     SPATIAL,
@@ -26,6 +32,7 @@ __all__ = [
     "fit_gaussian",
     "fit_probit_genetics",
     "gaussian_loglik_fn",
+    "genetics_loglik_fn",
     "graph_generator",
     "simulate_genetics",
     "smooth_covariate",

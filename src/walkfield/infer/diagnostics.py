@@ -39,22 +39,25 @@ def split_half_diagnostic(samples: PosteriorSamples) -> dict:
     if n < MIN_SPLIT_DRAWS:
         raise DataError(f"need at least {MIN_SPLIT_DRAWS} retained draws, got {n}")
     half = n // 2
-    first = samples.draws[:half]
-    second = samples.draws[half:]
-    out = {}
-    for j, name in enumerate(samples.names):
-        a, b = first[:, j], second[:, j]
-        pooled_sd = np.sqrt(0.5 * (a.var(ddof=1) + b.var(ddof=1)))
-        gap = abs(a.mean() - b.mean())
-        flagged = bool(pooled_sd > 0 and gap > SPLIT_FLAG_SD * pooled_sd)
-        out[name] = {
-            "mean_first": float(a.mean()),
-            "mean_second": float(b.mean()),
-            "q025_first": float(np.quantile(a, 0.025)),
-            "q025_second": float(np.quantile(b, 0.025)),
-            "q975_first": float(np.quantile(a, 0.975)),
-            "q975_second": float(np.quantile(b, 0.975)),
-            "pooled_sd": float(pooled_sd),
-            "flagged": flagged,
+    # one row per parameter: each reduction runs along contiguous rows,
+    # which sums in the order of the per-column 1-D reductions
+    cols = np.ascontiguousarray(samples.draws.T)
+    first, second = cols[:, :half], cols[:, half:]
+    mean_a, mean_b = first.mean(axis=1), second.mean(axis=1)
+    pooled_sd = np.sqrt(0.5 * (first.var(axis=1, ddof=1) + second.var(axis=1, ddof=1)))
+    q025_a, q975_a = np.quantile(first, [0.025, 0.975], axis=1)
+    q025_b, q975_b = np.quantile(second, [0.025, 0.975], axis=1)
+    flagged = (pooled_sd > 0) & (np.abs(mean_a - mean_b) > SPLIT_FLAG_SD * pooled_sd)
+    return {
+        name: {
+            "mean_first": float(mean_a[j]),
+            "mean_second": float(mean_b[j]),
+            "q025_first": float(q025_a[j]),
+            "q025_second": float(q025_b[j]),
+            "q975_first": float(q975_a[j]),
+            "q975_second": float(q975_b[j]),
+            "pooled_sd": float(pooled_sd[j]),
+            "flagged": bool(flagged[j]),
         }
-    return out
+        for j, name in enumerate(samples.names)
+    }

@@ -22,6 +22,11 @@ the proposal is rejected and counted.  The fields are the columns of one
 one call each per sweep.  The random stream is consumed in the same order
 as by per-field loops, so seeded chains equal those of the per-field
 sampler up to roundoff.
+
+The per-draw log-likelihood of the alleles, with the latents integrated
+out by quadrature, runs once per occupied node rather than once per
+individual.  ``genetics_loglik_fn`` evaluates it for any {name: value}
+draw, so ``compute_dic`` takes a genetics fit.
 """
 
 from __future__ import annotations
@@ -130,6 +135,51 @@ def category_probs(means: np.ndarray) -> np.ndarray:
     diff = (means[:, :, None] - means[:, others])[..., None] + nodes
     inner = np.exp(log_ndtr(diff).sum(axis=2))  # (n, k, n_quad)
     return inner @ weights
+
+
+class _AlleleLoglik:
+    """Marginal log-likelihood of the observed alleles given (mu, eta).
+
+    The latents are integrated out by ``category_probs``.  Individuals at
+    one node share their means, so the quadrature runs once per occupied
+    node and locus, and each individual reads its node's row.
+    """
+
+    def __init__(self, spec: GeneticsModelSpec):
+        self.occupied, self.row_of_ind = np.unique(spec.node_of_individual, return_inverse=True)
+        self.alleles = spec.alleles
+        self.blocks = [(off, off + k) for off, k in
+                       zip(np.cumsum((0,) + spec.n_categories[:-1]), spec.n_categories)]
+
+    def __call__(self, mu, eta):
+        """``mu``: the (sum K,) intercepts; ``eta``: the (node, sum K) fields."""
+        means = mu[None, :] + eta[self.occupied, :]
+        rows = self.row_of_ind
+        total = 0.0
+        for (start, stop), obs in zip(self.blocks, self.alleles):
+            p = np.clip(category_probs(means[:, start:stop]), 1e-300, 1.0)
+            for pl in range(2):
+                total += float(np.log(p[rows, obs[:, pl]]).sum())
+        return total
+
+
+def genetics_loglik_fn(spec: GeneticsModelSpec):
+    """Log-likelihood of the alleles conditional on every sampled parameter.
+
+    Returns a callable over a {name: value} dict with the names of
+    ``fit_probit_genetics``'s draws (mu_l0 is pinned at zero); used for the
+    per-draw log-likelihood and DIC.
+    """
+    evaluate = _AlleleLoglik(spec)
+    m = spec.graph.node_count
+    cats = [(l, c) for l, k in enumerate(spec.n_categories) for c in range(k)]
+
+    def loglik(params: dict) -> float:
+        mu = np.array([params[f"mu_{l}_{c}"] if c else 0.0 for l, c in cats])
+        eta = np.array([[params[f"eta_{l}_{c}_{s}"] for l, c in cats] for s in range(m)])
+        return evaluate(mu, eta)
+
+    return loglik
 
 
 def _sum_zero_basis(m):
@@ -292,12 +342,16 @@ def fit_probit_genetics(
     """Posterior sampling for (beta, mu_lk, eta fields, latent z).
 
     The per-draw log-likelihood marginalizes the latents via quadrature
-    over category-max probabilities (used for diagnostics, not for any
-    update).  ``include_likelihood=False`` freezes the latents out of every
-    update, reducing each step to its prior (Gibbs audit mode).  The
-    metadata record the beta acceptance rate, the proposals rejected on a
-    ``NumericalError`` and the final beta step, ``beta_step``, which stops
-    adapting at the end of burn-in.
+    over category-max probabilities, once per occupied node (used for
+    diagnostics, not for any update; ``genetics_loglik_fn`` is the same
+    evaluation over a named draw).  It is evaluated at every
+    ``compute_loglik_every``-th kept draw; the rows between carry the last
+    evaluated value forward.  ``include_likelihood=False`` freezes the
+    latents out of every update, reducing each step to its prior (Gibbs
+    audit mode), and leaves every log-likelihood at 0.  The metadata record
+    the beta acceptance rate, the proposals rejected on a
+    ``NumericalError``, the final beta step, ``beta_step``, which stops
+    adapting at the end of burn-in, and ``compute_loglik_every``.
     """
     n_keep = chain_length(iterations, burnin, thin, compute_loglik_every)
     pr = spec.priors
@@ -383,6 +437,7 @@ def fit_probit_genetics(
     log_scale = math.log(0.1)
     mu_prec = like * 2.0 * n_ind + 1.0 / pr.mu_lk_sd**2
     loglik_const = 0.5 * n_fields * 2.0 * n_ind * math.log(2.0 * math.pi)
+    allele_loglik = _AlleleLoglik(spec)
 
     def collapsed_loglik(b, Ft, vv):
         """Log p(z | mu, beta) with every spatial field integrated out.
@@ -396,17 +451,6 @@ def fit_probit_genetics(
         w = solve_triangular(b.cap_chol, Ft, lower=True, check_finite=False)
         quad = vv - float(np.einsum("ij,ij->", w, w))
         return -0.5 * quad - 0.5 * n_fields * b.logdet_c - loglik_const
-
-    def marginal_loglik():
-        means = mu[None, :] + eta[s_of_ind, :]
-        total = 0.0
-        rows = np.arange(n_ind)
-        for l, k in enumerate(n_cats):
-            p = np.clip(category_probs(means[:, offsets[l]:offsets[l] + k]), 1e-300, 1.0)
-            obs = spec.alleles[l]
-            for pl in range(2):
-                total += float(np.log(p[rows, obs[:, pl]]).sum())
-        return total
 
     z_flat = z.reshape(-1)
     for it in range(iterations):
@@ -485,7 +529,7 @@ def fit_probit_genetics(
             draws[kept, n_beta:n_beta + free_mu.size] = mu[free_mu]
             draws[kept, n_beta + free_mu.size:] = eta.T.ravel()
             if include_likelihood and kept % compute_loglik_every == 0:
-                logliks[kept] = marginal_loglik()
+                logliks[kept] = allele_loglik(mu, eta)
             elif kept > 0:
                 logliks[kept] = logliks[kept - 1]
             else:
@@ -501,5 +545,6 @@ def fit_probit_genetics(
         "rejected_proposals": rejected,
         "beta_step": math.exp(log_scale),
         "include_likelihood": include_likelihood,
+        "compute_loglik_every": compute_loglik_every,
     }
     return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)

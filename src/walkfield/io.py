@@ -36,14 +36,20 @@ def load_graph(nodes_path, edges_path, symmetric: bool = False) -> SpatialGraph:
         if reader.fieldnames is None or "node_id" not in reader.fieldnames:
             raise DataError(f"{nodes_path}: node table needs a node_id column")
         has_xy = "x" in reader.fieldnames and "y" in reader.fieldnames
-        node_rows = list(reader)
-    ids = [int(r["node_id"]) for r in node_rows]
-    m = len(ids)
-    if sorted(ids) != list(range(m)):
+        nodes = []
+        for lineno, r in enumerate(reader, start=2):
+            try:
+                i = int(r["node_id"])
+                xy = (float(r["x"]), float(r["y"])) if has_xy else None
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{nodes_path}:{lineno}: malformed node record ({exc})") from None
+            nodes.append((i, r.get("label", r["node_id"]), xy))
+    m = len(nodes)
+    if sorted(i for i, _, _ in nodes) != list(range(m)):
         raise DataError(f"{nodes_path}: node ids must be 0..{m-1} with no gaps or duplicates")
-    node_rows.sort(key=lambda r: int(r["node_id"]))
-    labels = tuple(r.get("label", str(r["node_id"])) for r in node_rows)
-    coords = tuple((float(r["x"]), float(r["y"])) for r in node_rows) if has_xy else None
+    nodes.sort(key=lambda node: node[0])
+    labels = tuple(label for _, label, _ in nodes)
+    coords = tuple(xy for _, _, xy in nodes) if has_xy else None
 
     edges = []
     with open(edges_path, newline="") as f:

@@ -20,10 +20,11 @@ from walkfield.graph import (
     build_generator,
     edge_rates_loglinear,
 )
-from walkfield.infer import genetics
+from walkfield.infer import compute_dic, genetics
 from walkfield.infer.genetics import (
     category_probs,
     fit_probit_genetics,
+    genetics_loglik_fn,
     simulate_genetics,
     truncated_normal,
 )
@@ -614,3 +615,55 @@ class TestTruncatedNormalStream:
         rng, ref = np.random.default_rng(19), np.random.default_rng(19)
         np.testing.assert_array_equal(truncated_normal(rng, mean, lower=0.5),
                                       _ref_truncated_normal(ref, mean, lower=0.5))
+
+
+class TestGeneticsLoglik:
+    @pytest.fixture(scope="class")
+    def fit(self, small_sim):
+        spec, _ = small_sim
+        return spec, fit_probit_genetics(spec, iterations=130, burnin=30, seed=6)
+
+    def test_matches_the_stored_loglik(self, fit):
+        spec, samples = fit
+        assert samples.metadata["compute_loglik_every"] == 1
+        loglik = genetics_loglik_fn(spec)
+        for row in (0, 57, samples.n_draws - 1):
+            assert loglik(dict(zip(samples.names, samples.draws[row]))) == samples.loglik[row]
+
+    def test_stale_rows_carry_the_last_evaluation(self, small_sim):
+        spec, _ = small_sim
+        s = fit_probit_genetics(spec, iterations=40, burnin=30, seed=6, compute_loglik_every=4)
+        assert s.metadata["compute_loglik_every"] == 4
+        np.testing.assert_array_equal(s.loglik, np.repeat(s.loglik[::4], 4)[:s.n_draws])
+
+    def test_matches_a_per_individual_reference(self):
+        rng = np.random.default_rng(31)
+        m = 9
+        graph = _random_directed_graph(rng, m)
+        n_categories = (2, 3, 5)
+        # unsorted individuals on 5 of the 9 nodes
+        nodes = rng.choice(rng.choice(m, size=5, replace=False), size=40)
+        assert np.bincount(nodes, minlength=m).min() == 0
+        assert (np.diff(nodes) < 0).any()
+        alleles = tuple(rng.integers(k, size=(nodes.size, 2)) for k in n_categories)
+        spec = GeneticsModelSpec(graph=graph, node_of_individual=nodes, alleles=alleles,
+                                 n_categories=n_categories)
+        draw = {f"mu_{l}_{c}": rng.normal() for l, k in enumerate(n_categories)
+                for c in range(1, k)}
+        draw.update({f"eta_{l}_{c}_{s}": rng.normal(scale=1.5)
+                     for l, k in enumerate(n_categories) for c in range(k) for s in range(m)})
+        expected = 0.0
+        rows = np.arange(nodes.size)
+        for l, (k, y) in enumerate(zip(n_categories, alleles)):
+            mu = np.array([0.0] + [draw[f"mu_{l}_{c}"] for c in range(1, k)])
+            eta = np.array([[draw[f"eta_{l}_{c}_{s}"] for c in range(k)] for s in range(m)])
+            p = np.clip(_ref_category_probs(mu + eta[nodes]), 1e-300, 1.0)
+            for pl in range(2):
+                expected += float(np.log(p[rows, y[:, pl]]).sum())
+        assert genetics_loglik_fn(spec)(draw) == expected
+
+    def test_dic_of_a_genetics_fit(self, fit):
+        spec, samples = fit
+        dic = compute_dic(samples, genetics_loglik_fn(spec))
+        assert dic.dbar == float(np.mean(-2.0 * samples.loglik))
+        assert math.isfinite(dic.d_at_mean) and math.isfinite(dic.dic)

@@ -353,6 +353,23 @@ def test_cli_bad_data_exit_3(tmp_path, capsys):
     assert "dangling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, match", [
+    ("x,n1,0.0,1.0", r"nodes\.csv:3: malformed node record"),
+    ("1.5,n1,0.0,1.0", r"nodes\.csv:3: malformed node record"),
+    ("1,n1,0.0,q", r"nodes\.csv:3: malformed node record"),
+    ("1,n1,0.0", r"nodes\.csv:3: malformed node record"),
+], ids=["id-not-a-number", "id-not-an-integer", "y-not-a-number", "short-row"])
+def test_cli_build_bad_node_table_exit_3(tmp_path, capsys, row, match):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(f"node_id,label,x,y\n0,n0,0.0,0.0\n{row}\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("from,to,distance\n0,1,1.0\n")
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\n")
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+
+
 def test_cli_numerical_overflow_exit_4(tmp_path, cli_graph, capsys):
     nodes, edges = cli_graph
     cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nbeta0=1e6\n")
@@ -431,8 +448,12 @@ def _fit_cfg(tmp_path, cli_graph, data_text=FIT_DATA):
     ("1,2.0,", "0,2.0,", r"data\.csv:3: node ids must be 0\.\.3 with no gaps or duplicates"),
     ("3,1.5,", "4,1.5,", r"data\.csv:5: node ids must be 0\.\.3"),
     ("2,0.5,", "-2,0.5,", r"data\.csv:4: node ids must be 0\.\.3"),
+    ("1,2.0,", "1,nan,", r"data\.csv:3: non-finite value in data record"),
+    ("0,1.0,", "0,-inf,", r"data\.csv:2: non-finite value in data record"),
+    ("-0.7\n", "inf\n", r"data\.csv:5: non-finite value in data record"),
 ], ids=["response-not-a-number", "node-id-not-a-number", "short-row", "duplicate-id",
-        "id-past-end", "negative-id"])
+        "id-past-end", "negative-id", "nan-response", "negative-inf-response",
+        "inf-covariate"])
 def test_cli_fit_bad_data_table_exit_3(tmp_path, cli_graph, capsys, old, new, match):
     cfg = _fit_cfg(tmp_path, cli_graph, FIT_DATA.replace(old, new))
     out = tmp_path / "fit"
