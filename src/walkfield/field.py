@@ -110,8 +110,14 @@ def constrained_solve(Q: GeneratorMatrix, r: np.ndarray) -> np.ndarray:
     resid = np.abs(qt @ pi - r_tilde).max(axis=0)
     scale = (abs(qt) @ np.abs(pi) + np.abs(r_tilde)).max(axis=0)
     if not np.isfinite(pi).all() or np.any(resid > 1e-10 * scale):
+        # irreducibility was checked structurally by _GroundedLU, so what
+        # fails here is the accuracy of the solve
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.max(resid / scale))
         raise NumericalError(
-            "constrained solve did not converge; check that Q is irreducible"
+            f"constrained solve failed its backward-error test: worst backward "
+            f"error {worst:.3g} against the bound 1e-10; the grounded minor of Q' "
+            "at node 0 is ill-conditioned"
         )
     return pi
 

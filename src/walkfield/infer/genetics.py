@@ -13,15 +13,16 @@ normalizing constant is what lets the data inform beta.
 
 Everything one beta determines is formed once.  ``_precision_bundle`` runs
 once per beta proposal: it evaluates the rates of a compiled ``RateModel``,
-forms P = QQ' densely with the summation order of the sparse product, and
-factors the collapsed model.  The field full conditional is factored once,
-when the chain moves to a beta; the field update itself factors nothing.
-A bundle or factor that cannot be formed raises ``NumericalError``, and
-the proposal is rejected and counted.  The fields are the columns of one
-(M, sum K) block, so the node scatter, the solves and the field noise are
-one call each per sweep.  The random stream is consumed in the same order
-as by per-field loops, so seeded chains equal those of the per-field
-sampler up to roundoff.
+forms Q'F densely for the sum-zero basis F, and factors the restricted
+precision F'QQ'F and the collapsed precision F'QQ'F + F'G'GF.  The latter is
+also the precision of each field's full conditional in the basis F, so the
+field update draws from that factor and factors nothing.  A bundle that
+cannot be formed raises ``NumericalError``, and the proposal is rejected and
+counted.  The fields are the columns of one (M, sum K) block, so the node
+scatter, the solves and the field noise (M - 1 normals per field) are one
+call each per sweep.  The random stream is consumed in the same order as by
+per-field loops, so seeded chains equal those of the per-field sampler up
+to roundoff.
 
 The per-draw log-likelihood of the alleles, with the latents integrated
 out by quadrature, runs once per occupied node rather than once per
@@ -36,7 +37,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, helmert, solve_triangular
+from scipy.linalg import helmert, solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ..errors import DataError, NumericalError
@@ -182,25 +183,11 @@ def genetics_loglik_fn(spec: GeneticsModelSpec):
     return loglik
 
 
-def _sum_zero_basis(m):
-    """Orthonormal basis of the sum-zero subspace as an (m, m-1) matrix."""
-    return helmert(m).T
-
-
 class _Bundle(NamedTuple):
-    """What one beta determines for the collapsed likelihood."""
+    """What one beta determines for the collapsed likelihood and the fields."""
 
-    P: np.ndarray  # QQ'
     cap_chol: np.ndarray  # lower Cholesky factor of F'PF + F'G'GF
     logdet_c: float  # log det(F'PF + F'G'GF) - log det(F'PF)
-
-
-class _FieldFactor(NamedTuple):
-    """The field full conditional's precision A = G'G + P, shifted along 1."""
-
-    chol: np.ndarray  # lower Cholesky factor of A + shift 11'
-    u: np.ndarray  # (A + shift 11')^-1 1
-    uu: float  # 1'u
 
 
 def _cholesky(a, what):
@@ -210,82 +197,28 @@ def _cholesky(a, what):
         raise NumericalError(f"{what} is not positive definite") from exc
 
 
-class _PrecisionPattern:
-    """P = QQ' for a compiled rate model, dense, bitwise as the sparse product.
+def _precision_bundle(rate_model, beta_vec, F, K_slots):
+    """Collapsed factor of the constrained field for a beta.
 
-    Q's nonzeros are fixed by the graph, so the terms Q_ij Q_kj of every
-    P_ik are listed once.  Each P_ik is then summed from zero over j in
-    increasing order, and each exit rate Q_ii over the row's edges in
-    column order: the arithmetic of ``stationary_precision`` on the sparse
-    generator.  Whether a nearly singular F'PF factors therefore does not
-    depend on which of the two forms it.
+    With P = QQ', B = F'PF = (Q'F)'(Q'F) is the precision restricted to the
+    sum-zero subspace.  With asymmetric rates P's null vector is not the
+    constant vector, so the restriction — not the pseudo-determinant — is
+    the right normalizing object.  ``K_slots`` = F'G'GF for the node-to-slot
+    incidence G (zero in prior mode), so B + K_slots is also the precision
+    of each field's full conditional in the basis F.
     """
-
-    def __init__(self, rate_model, m):
-        self.rate_model = rate_model
-        self.m = m
-        src, dst = rate_model.src, rate_model.dst
-        self.order = np.lexsort((dst, src))  # edges by row, then column
-        self.src_sorted = src[self.order]
-        self.exits = np.unique(src)  # nodes whose diagonal entry is stored
-        # nonzeros of Q: first the edges in self.order, then the diagonal
-        rows = np.concatenate([self.src_sorted, self.exits])
-        cols = np.concatenate([dst[self.order], self.exits])
-        by_row = np.lexsort((cols, rows))
-        in_col = [[] for _ in range(m)]
-        for e in range(rows.size):
-            in_col[cols[e]].append(e)
-        out, a, b = [], [], []
-        for e in by_row:
-            for f in in_col[cols[e]]:
-                out.append(rows[e] * m + rows[f])
-                a.append(e)
-                b.append(f)
-        self.out = np.array(out, dtype=np.intp)
-        self.a = np.array(a, dtype=np.intp)
-        self.b = np.array(b, dtype=np.intp)
-
-    def __call__(self, beta):
-        m = self.m
-        rates = self.rate_model.rates(beta)[self.order]
-        diag = np.bincount(self.src_sorted, weights=rates, minlength=m)
-        q = np.concatenate([-rates, diag[self.exits]])
-        P = np.bincount(self.out, weights=q[self.a] * q[self.b], minlength=m * m)
-        P = P.reshape(m, m)
-        return (P + P.T) * 0.5
-
-
-def _precision_bundle(precision, beta_vec, F, K_slots):
-    """Precision of the constrained field, and the collapsed factor, for a beta.
-
-    P = QQ' and B = F'PF is the precision restricted to the sum-zero
-    subspace.  With asymmetric rates P's null vector is not the constant
-    vector, so the restriction — not the pseudo-determinant — is the right
-    normalizing object.  ``K_slots`` = F'G'GF for the node-to-slot
-    incidence G (zero in prior mode).
-    """
-    P = precision(beta_vec)
-    B = F.T @ P @ F
-    B = (B + B.T) / 2.0
+    m = F.shape[0]
+    rates = rate_model.rates(beta_vec)
+    Q = np.zeros((m, m))
+    Q[rate_model.src, rate_model.dst] = -rates
+    np.fill_diagonal(Q, np.bincount(rate_model.src, weights=rates, minlength=m))
+    C = Q.T @ F
+    B = C.T @ C
     B_chol = _cholesky(B, "constrained field precision")
     logdet_B = 2.0 * float(np.log(np.diag(B_chol)).sum())
     cap_chol = _cholesky(B + K_slots, "collapsed covariance")
     logdet_c = 2.0 * float(np.log(np.diag(cap_chol)).sum()) - logdet_B
-    return _Bundle(P, cap_chol, logdet_c)
-
-
-def _field_factor(P, slot_counts):
-    """Factor of the field full conditional for precision P and slot counts G'G.
-
-    A rank-one shift along 1 makes the precision invertible without
-    changing the conditional distribution on the sum-zero subspace.
-    """
-    m = P.shape[0]
-    A = np.diag(slot_counts) + P
-    shift = max(float(np.trace(A)) / m, 1.0) / m
-    L = _cholesky(A + shift, "field full-conditional precision")
-    u = cho_solve((L, True), np.ones(m))
-    return _FieldFactor(L, u, float(u.sum()))
+    return _Bundle(cap_chol, logdet_c)
 
 
 def simulate_genetics(
@@ -362,20 +295,18 @@ def fit_probit_genetics(
     rng = np.random.default_rng(seed)
     like = 1.0 if include_likelihood else 0.0
 
-    precision = _PrecisionPattern(RateModel(spec.graph, spec.extra_rate_names), m)
+    rate_model = RateModel(spec.graph, spec.extra_rate_names)
     beta = np.zeros(n_beta)
     rates0 = edge_rates_loglinear(spec.graph, RateParams(tuple(beta), spec.extra_rate_names))
     Q0 = build_generator(spec.graph, rates0)
     if not check_irreducible(Q0):
         raise DataError("graph must be irreducible under the rate model")
 
-    F = _sum_zero_basis(m)
+    F = helmert(m).T  # orthonormal basis of the sum-zero subspace
     # per-node slot counts (2 ploidy slots per individual)
     node_counts = np.bincount(s_of_ind, minlength=m) * 2.0
-    slot_counts = like * node_counts
     K_slots = like * ((F * node_counts[:, None]).T @ F)  # F' G'G F, beta-independent
-    bundle = _precision_bundle(precision, beta, F, K_slots)
-    field = _field_factor(bundle.P, slot_counts)
+    bundle = _precision_bundle(rate_model, beta, F, K_slots)
 
     # the sum(K) fields in (locus, category) order: latents z as one
     # (field, individual, ploidy) array, fields eta as the columns of one
@@ -491,7 +422,7 @@ def fit_probit_genetics(
         logprior_cur = -0.5 * float(beta @ beta) / pr.rate_beta_sd**2
         logprior_prop = -0.5 * float(prop @ prop) / pr.rate_beta_sd**2
         try:
-            bundle_prop = _precision_bundle(precision, prop, F, K_slots)
+            bundle_prop = _precision_bundle(rate_model, prop, F, K_slots)
             if include_likelihood:
                 ratio = (
                     collapsed_loglik(bundle_prop, Ft, vv) + logprior_prop
@@ -500,29 +431,25 @@ def fit_probit_genetics(
             else:
                 ratio = logprior_prop - logprior_cur
             accept = math.log(rng.random()) < ratio
-            if accept:
-                # factored only for a beta the chain moves to, after its
-                # uniform is drawn, so a failure here rejects the move
-                # without shifting the random stream
-                field_prop = _field_factor(bundle_prop.P, slot_counts)
         except NumericalError:
             accept = False
             rejected += 1
         if accept:
             beta = prop
-            bundle, field = bundle_prop, field_prop
+            bundle = bundle_prop
             acc += 1
         if it < burnin:
             gain = 1.0 / math.sqrt(it + 1.0)
             log_scale += gain * ((1.0 if accept else 0.0) - BETA_TARGET_ACC)
 
-        # spatial fields: constrained Gaussian via conditioning by kriging,
-        # every field in one solve against the current beta's field factor
-        noise = rng.standard_normal((n_fields, m))
-        raw = solve_triangular(field.chol, noise.T, lower=True, trans="T", check_finite=False)
+        # spatial fields: eta = F w with w ~ N(A^-1 Ft, A^-1) for the
+        # collapsed precision A = F'PF + F'G'GF, every field in one solve
+        # against the current beta's factor
+        w = rng.standard_normal((n_fields, m - 1)).T
         if include_likelihood:
-            raw += cho_solve((field.chol, True), node_sums, check_finite=False)
-        eta = raw - field.u[:, None] * (raw.sum(axis=0) / field.uu)
+            w += solve_triangular(bundle.cap_chol, Ft, lower=True, check_finite=False)
+        w = solve_triangular(bundle.cap_chol, w, lower=True, trans="T", check_finite=False)
+        eta = F @ w
 
         if it >= burnin and (it - burnin) % thin == 0:
             draws[kept, :n_beta] = beta

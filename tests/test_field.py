@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import helmert
 
+from walkfield.datasets import stream_network
 from walkfield.errors import DataError, NumericalError
 from walkfield.field import (
     IntrinsicField,
@@ -22,7 +23,7 @@ from walkfield.field import (
 from walkfield.graph import generator_from_rates
 
 from test_graph import line_graph, random_graph
-from walkfield.graph import RateParams, build_generator, edge_rates_loglinear
+from walkfield.graph import RateParams, build_generator, check_irreducible, edge_rates_loglinear
 
 
 def sym_generator(rng, m):
@@ -303,8 +304,22 @@ class TestDirectedAndLongGraphs:
         solve = _GroundedLU.solve
         monkeypatch.setattr(_GroundedLU, "solve",
                             lambda self, r: solve(self, r) * (1.0 + 1e-6))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError,
+                           match=r"worst backward error \S+ against the bound 1e-10"):
             constrained_solve(Q, np.array([1.0, -2.0, 0.5]))
+
+    def test_upstream_drift_names_the_ill_conditioned_minor(self):
+        # With beta_1 = -1.5 the demo stream's walk drifts away from node 0,
+        # the mouth, so the minor grounded there is nearly singular: Q is
+        # irreducible, and the error says what did fail.
+        g = stream_network()
+        Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, -1.5, 0.0))))
+        assert check_irreducible(Q)
+        r = np.random.default_rng(0).standard_normal((g.node_count, 20))
+        with pytest.raises(NumericalError, match="grounded minor of Q' at node 0 is "
+                                                 "ill-conditioned") as err:
+            constrained_solve(Q, r)
+        assert "irreducible" not in str(err.value)
 
     @pytest.mark.parametrize("rates", [
         {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0},  # two components

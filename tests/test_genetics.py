@@ -1,12 +1,12 @@
 """Probit-genetics components: truncated normals, category probabilities, sampler."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy import stats
-from scipy.linalg import cho_solve, helmert, solve_triangular
+from scipy.linalg import helmert, solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from walkfield.datasets import stream_network
@@ -232,10 +232,34 @@ class TestSampler:
         long = fit_probit_genetics(spec, iterations=80, burnin=30, seed=2)
         assert short.metadata["beta_step"] == long.metadata["beta_step"]
 
+    def test_field_draws_have_the_constrained_law(self, small_sim):
+        # Prior mode: given beta, each field is N(0, (F'QQ'F)^-1) on the
+        # sum-zero subspace, so ||Q'eta||^2 is chi-squared with M - 1
+        # degrees of freedom.  Q is rebuilt from each draw's own beta by the
+        # sparse generator, and the statistic is formed from Q'eta, since
+        # eta'QQ'eta cancels badly.
+        spec, _ = small_sim
+        spec = replace(spec, priors=PriorSpec(rate_beta_sd=1.0))
+        s = fit_probit_genetics(spec, iterations=3000, burnin=0, seed=5,
+                                include_likelihood=False)
+        g, m = spec.graph, spec.graph.node_count
+        eta_cols = [j for j, name in enumerate(s.names) if name.startswith("eta_")]
+        stat = np.empty(s.n_draws)
+        for r, row in enumerate(s.draws):
+            Q = build_generator(g, edge_rates_loglinear(g, RateParams(tuple(row[:3]))))
+            eta = row[eta_cols].reshape(-1, m).T  # one field per column
+            stat[r] = ((Q.matrix.T @ eta) ** 2).sum(axis=0).mean()
+        n_batches = 50
+        batches = stat[:stat.size - stat.size % n_batches].reshape(n_batches, -1).mean(axis=1)
+        se = batches.std(ddof=1) / math.sqrt(n_batches)
+        assert abs(stat.mean() - (m - 1)) < 3.0 * se
+
     def test_prior_mode_survives_singular_field_precision(self):
         # Under the default N(0, 10^2) rate prior the chain reaches betas
-        # whose rates are so small that the field full conditional cannot
-        # be factored; such proposals are rejected and counted.
+        # whose rates are so uneven that F'PF, which squares the condition
+        # of Q'F, cannot be factored; such proposals are rejected and
+        # counted.  It is the only factor that can fail: in prior mode the
+        # collapsed precision is F'PF itself.
         spec, _ = simulate_genetics(stream_network(), (0.0, 1.0, -1.0), n_loci=8,
                                     n_categories=4, individuals_per_node=5, seed=123)
         s = fit_probit_genetics(spec, iterations=300, burnin=100, seed=0,
@@ -244,13 +268,16 @@ class TestSampler:
         assert s.metadata["rejected_proposals"] > 0
 
 
-# --- Frozen reference sampler ---------------------------------------------
+# --- Reference sampler -----------------------------------------------------
 #
-# The sampler as it was before the precision bundle, the block solves and
-# the compiled rate model: per-field loops, a rate dict and a sparse
-# generator per beta proposal, and rng.uniform for the central truncated
-# normals.  The current sampler must consume the random stream in the same
-# order, so its chains equal these draw for draw up to roundoff.
+# The sampler written plainly: per-field loops, a rate dict with math.exp
+# per edge, and a dense generator built edge by edge per beta proposal.  It
+# states the same algebra as the sampler: B = (Q'F)'(Q'F) restricted to the
+# sum-zero basis F, the collapsed factor chol(B + F'G'GF) for the beta step,
+# and each field drawn as F w with w ~ N(A^-1 t, A^-1), A = B + F'G'GF,
+# from M - 1 normals.  It uses rng.uniform for the central truncated
+# normals.  The sampler must consume the random stream in the same order,
+# so its chains equal these draw for draw up to roundoff.
 
 
 def _ref_std_lower_trunc(rng, a):
@@ -292,8 +319,8 @@ def _ref_category_probs(means, n_quad=40):
     return np.exp(logcdf.sum(axis=2)) @ weights
 
 
-def _ref_precision(graph, extra_names, beta):
-    """P = QQ' through a rate dict and a sparse generator."""
+def _ref_generator(graph, extra_names, beta):
+    """Dense Q through a rate dict, exit rates summed in the graph's edge order."""
     rates = {}
     for e in graph.edges:
         extras = dict(e.cov.extras)
@@ -303,33 +330,25 @@ def _ref_precision(graph, extra_names, beta):
         if abs(lp) > 700.0:
             raise NumericalError("overflow guard")
         rates[(e.src, e.dst)] = math.exp(lp) / e.cov.distance
-    m = graph.node_count
-    rows, cols, vals = [], [], []
-    diag = np.zeros(m)
-    for (i, j) in sorted(rates):
-        rows.append(i)
-        cols.append(j)
-        vals.append(-rates[(i, j)])
-        diag[i] += rates[(i, j)]
-    for i in range(m):
-        if diag[i] > 0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag[i])
-    q = sp.csr_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(m, m))
-    q.sort_indices()
-    p = (q @ q.T).tocsr()
-    return ((p + p.T) * 0.5).toarray()
+    Q = np.zeros((graph.node_count, graph.node_count))
+    for (i, j), rate in rates.items():
+        Q[i, j] = -rate
+        Q[i, i] += rate
+    return Q
+
+
+def _ref_cholesky(a):
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("not positive definite") from exc
 
 
 def _ref_precision_bundle(spec, beta_vec, F):
-    P = _ref_precision(spec.graph, spec.extra_rate_names, beta_vec)
-    B = F.T @ P @ F
-    try:
-        B_chol = np.linalg.cholesky((B + B.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("not positive definite") from exc
-    return P, B_chol, 2.0 * float(np.log(np.diag(B_chol)).sum())
+    """B = (Q'F)'(Q'F) and log det B, from B's Cholesky factor."""
+    C = _ref_generator(spec.graph, spec.extra_rate_names, beta_vec).T @ F
+    B = C.T @ C
+    return B, 2.0 * float(np.log(np.diag(_ref_cholesky(B))).sum())
 
 
 def _reference_fit(spec, iterations, burnin, seed, thin=1, include_likelihood=True,
@@ -344,7 +363,7 @@ def _reference_fit(spec, iterations, burnin, seed, thin=1, include_likelihood=Tr
 
     beta = np.zeros(n_beta)
     F = helmert(m).T
-    P, B_chol, logdet_B = _ref_precision_bundle(spec, beta, F)
+    B, logdet_B = _ref_precision_bundle(spec, beta, F)
 
     node_counts = np.bincount(s_of_ind, minlength=m) * 2.0
     mu = [np.zeros(k) for k in spec.n_categories]
@@ -374,12 +393,8 @@ def _reference_fit(spec, iterations, burnin, seed, thin=1, include_likelihood=Tr
     n_fields = int(sum(spec.n_categories))
     K_slots = (F * node_counts[:, None]).T @ F
 
-    def collapsed_loglik(chol_B, ldet_B):
-        cap = chol_B @ chol_B.T + K_slots
-        try:
-            cK = np.linalg.cholesky(cap)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("not positive definite") from exc
+    def collapsed_loglik(B_, ldet_B):
+        cK = _ref_cholesky(B_ + K_slots)
         logdet_c = 2.0 * float(np.log(np.diag(cK)).sum()) - ldet_B
         quad = 0.0
         for l, k in enumerate(spec.n_categories):
@@ -436,10 +451,10 @@ def _reference_fit(spec, iterations, burnin, seed, thin=1, include_likelihood=Tr
         logprior_cur = -0.5 * float(beta @ beta) / pr.rate_beta_sd**2
         logprior_prop = -0.5 * float(prop @ prop) / pr.rate_beta_sd**2
         try:
-            P_prop, B_chol_prop, logdet_B_prop = _ref_precision_bundle(spec, prop, F)
+            B_prop, logdet_B_prop = _ref_precision_bundle(spec, prop, F)
             if include_likelihood:
-                ratio = (collapsed_loglik(B_chol_prop, logdet_B_prop) + logprior_prop
-                         - collapsed_loglik(B_chol, logdet_B) - logprior_cur)
+                ratio = (collapsed_loglik(B_prop, logdet_B_prop) + logprior_prop
+                         - collapsed_loglik(B, logdet_B) - logprior_cur)
             else:
                 ratio = logprior_prop - logprior_cur
             accept = math.log(rng.random()) < ratio
@@ -448,24 +463,20 @@ def _reference_fit(spec, iterations, burnin, seed, thin=1, include_likelihood=Tr
             rejected += 1
         if accept:
             beta = prop
-            P, B_chol, logdet_B = P_prop, B_chol_prop, logdet_B_prop
+            B, logdet_B = B_prop, logdet_B_prop
             acc += 1
         if it < burnin:
             gain = 1.0 / math.sqrt(it + 1.0)
             log_scale += gain * ((1.0 if accept else 0.0) - 0.234)
 
-        A = like * np.diag(node_counts) + P
-        shift = max(float(np.trace(A)) / m, 1.0) / m
-        L = np.linalg.cholesky(A + shift * np.ones((m, m)))
-        u = cho_solve((L, True), np.ones(m))
-        uu = float(u.sum())
+        L = np.linalg.cholesky(B + like * K_slots)
         for l, k in enumerate(spec.n_categories):
             zsum = z[l] - mu[l][None, None, :]
             for cat in range(k):
-                t = like * np.bincount(slot_nodes, weights=zsum[:, :, cat].ravel(),
-                                       minlength=m)
-                raw = cho_solve((L, True), t) + np.linalg.solve(L.T, rng.standard_normal(m))
-                eta[l][:, cat] = raw - u * (raw.sum() / uu)
+                t = like * (F.T @ np.bincount(slot_nodes, weights=zsum[:, :, cat].ravel(),
+                                              minlength=m))
+                w_ = solve_triangular(L, t, lower=True) + rng.standard_normal(m - 1)
+                eta[l][:, cat] = F @ np.linalg.solve(L.T, w_)
 
         if it >= burnin and (it - burnin) % thin == 0:
             row = list(beta)
@@ -529,9 +540,8 @@ class TestAgainstReferenceSampler:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_directed_graphs_uneven_categories(self, seed):
         # Alleles come from the model, so the likelihood holds beta where
-        # the reference's field factor exists (see
-        # test_prior_mode_survives_singular_field_precision for where it
-        # does not).
+        # F'PF factors (see test_prior_mode_survives_singular_field_precision
+        # for where it does not).
         rng = np.random.default_rng(100 + seed)
         m = int(rng.integers(6, 12))
         graph = _random_directed_graph(rng, m)
@@ -564,9 +574,9 @@ class TestAgainstReferenceSampler:
     def test_prior_mode_near_singular_precisions(self, small_sim):
         # The first 2400 sweeps of the chain in
         # TestSampler::test_prior_audit_beta_and_mu, which reaches betas
-        # where F'PF barely factors.  There a last-bit change in P, or a
-        # field factor formed before the Metropolis draw, changes which
-        # proposals are rejected.
+        # where F'PF barely factors.  There a last-bit change in Q'F changes
+        # which proposals are rejected, and F'PF is the only factor that can
+        # fail.
         spec, _ = small_sim
         spec = GeneticsModelSpec(graph=spec.graph, node_of_individual=spec.node_of_individual,
                                  alleles=spec.alleles, n_categories=spec.n_categories,
