@@ -22,7 +22,6 @@ table; a command's help is the first line of its ``run`` docstring.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -43,6 +42,7 @@ from .infer.specs import DIFFUSION, SPATIAL, GaussianModelSpec, PriorSpec
 from .io import (
     load_graph,
     parse_config,
+    read_data_table,
     read_samples_csv,
     write_field_csv,
     write_graph,
@@ -255,41 +255,6 @@ def _convergence(job):
                       for n in N_list))
 
 
-def _read_data_table(path, rcol, hcol, m):
-    """Columns rcol and hcol of a node_id-keyed CSV, in node order.
-
-    The node ids must be 0..m-1 with no gaps or duplicates, the rule of
-    ``load_graph``; a bad id, or a cell that is not a finite number, is a
-    ``DataError`` naming its line.
-    """
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        cols = reader.fieldnames or []
-        for c in ("node_id", rcol, hcol):
-            if c not in cols:
-                raise DataError(f"{path}: missing column '{c}'")
-        rows = [(reader.line_num, r) for r in reader]
-    if len(rows) != m:
-        raise DataError(f"{path}: expected {m} rows, got {len(rows)}")
-    values = np.empty((2, m))
-    seen = np.zeros(m, dtype=bool)
-    for lineno, r in rows:
-        try:
-            i = int(r["node_id"])
-            cells = float(r[rcol]), float(r[hcol])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: malformed data record ({exc})") from None
-        if not np.isfinite(cells).all():
-            raise DataError(f"{path}:{lineno}: non-finite value in data record")
-        if not 0 <= i < m or seen[i]:
-            raise DataError(
-                f"{path}:{lineno}: node ids must be 0..{m-1} with no gaps or duplicates"
-            )
-        seen[i] = True
-        values[:, i] = cells
-    return values
-
-
 def _fit_spec(job):
     """GaussianModelSpec from the config: the Columbus fixture, or graph and data files."""
     cfg, cfg_path = job.cfg, job.cfg_path
@@ -304,10 +269,8 @@ def _fit_spec(job):
     else:
         graph = _load_cfg_graph(job)
         data = _input_file(job, "data")
-        response, covariate = _read_data_table(
-            data, _require(cfg, "response", cfg_path), _require(cfg, "covariate", cfg_path),
-            graph.node_count,
-        )
+        columns = (_require(cfg, "response", cfg_path), _require(cfg, "covariate", cfg_path))
+        response, covariate = read_data_table(data, columns, graph.node_count)
     return GaussianModelSpec(
         response=response,
         covariate=covariate,

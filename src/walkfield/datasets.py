@@ -9,16 +9,10 @@ symmetric and every undirected pair is stored once in the edge table.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
-import numpy as np
-
 from .graph import Edge, EdgeCovariates, SpatialGraph
-
-
-def _data_path(name):
-    return resources.files("walkfield.data").joinpath(name)
+from .io import load_graph, read_data_table
 
 
 def columbus_fixture():
@@ -27,24 +21,11 @@ def columbus_fixture():
     Returns (SpatialGraph, crime, home_values); the graph carries both
     directions of every contiguity pair, unit distances, zero indicators.
     """
-    with _data_path("columbus_nodes.csv").open() as f:
-        rows = list(csv.DictReader(f))
-    rows.sort(key=lambda r: int(r["node_id"]))
-    labels = tuple(r["label"] for r in rows)
-    coords = tuple((float(r["x"]), float(r["y"])) for r in rows)
-    crime = np.array([float(r["crime"]) for r in rows])
-    home = np.array([float(r["home_value"]) for r in rows])
-
-    edges = []
-    with _data_path("columbus_edges.csv").open() as f:
-        for r in csv.DictReader(f):
-            i, j = int(r["from"]), int(r["to"])
-            cov = EdgeCovariates(distance=float(r["distance"]))
-            edges.append(Edge(i, j, cov))
-            edges.append(Edge(j, i, cov))
-    graph = SpatialGraph(
-        node_count=len(rows), labels=labels, edges=tuple(edges), coords=coords
-    )
+    data = resources.files("walkfield.data")
+    with (resources.as_file(data / "columbus_nodes.csv") as nodes,
+          resources.as_file(data / "columbus_edges.csv") as edges):
+        graph = load_graph(nodes, edges, symmetric=True)
+        crime, home = read_data_table(nodes, ("crime", "home_value"), graph.node_count)
     return graph, crime, home
 
 

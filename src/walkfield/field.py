@@ -157,25 +157,16 @@ class FieldSample:
 
 
 def sample_field(fld: IntrinsicField, seed: int) -> FieldSample:
-    """Draw one realization of the intrinsic field.
-
-    gamma ~ N(0, sigma^2 I) conditioned on 1'gamma = 0 (mean subtraction is
-    exact for exchangeable Gaussian noise), then pi solves Q'pi = gamma.
-    """
-    rng = np.random.default_rng(seed)
-    gamma = rng.normal(0.0, fld.sigma, fld.dim)
-    gamma -= gamma.mean()
-    pi = fld._factor.solve(gamma)
-    if not np.isfinite(pi).all():
-        raise NumericalError("field solve produced non-finite values")
-    return FieldSample(pi=pi, seed=seed)
+    """Draw one realization of the intrinsic field: ``sample_fields(fld, 1, seed)[0]``."""
+    return FieldSample(pi=sample_fields(fld, 1, seed)[0], seed=seed)
 
 
 def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
     """Draw n_draws independent field realizations as an (n_draws, M) array.
 
-    One RNG stream, one matrix factorization: equivalent in law to repeated
-    sample_field calls but far cheaper for Monte Carlo studies.
+    gamma ~ N(0, sigma^2 I) conditioned on 1'gamma = 0 (mean subtraction is
+    exact for exchangeable Gaussian noise), then pi solves Q'pi = gamma.
+    One RNG stream and one factorization serve every draw.
     """
     if n_draws <= 0:
         raise DataError("n_draws must be positive")

@@ -24,6 +24,10 @@ REDUCIBLE = "Reducible"
 
 # a rate counts as structurally nonzero iff above this fraction of the max rate
 NONZERO_REL_TOL = 1e-12
+# verify_unique's confounder: WW' within MATCH_TOL * max|QQ'| of QQ', and
+# max|W - Q| above MIN_DIST
+MATCH_TOL = 1e-8
+MIN_DIST = 1e-4
 
 
 @dataclass(frozen=True)
@@ -124,16 +128,14 @@ def verify_unique(
     trials: int,
     seed: int,
     candidates=(),
-    match_tol: float = 1e-8,
-    min_dist: float = 1e-4,
 ) -> bool:
     """Numerical probe: search for a distinct generator W with WW' = QQ'.
 
     Runs ``trials`` random restarts of a gradient-free local search over
     log-rates on the full off-diagonal support (log-rates can sink edges to
     zero, so denser supports are covered).  Returns True when no candidate
-    matches QQ' at ``match_tol`` while differing from Q by more than
-    ``min_dist``.  A supporting check, not a proof.
+    matches QQ' at ``MATCH_TOL`` while differing from Q by more than
+    ``MIN_DIST``.  A supporting check, not a proof.
 
     True means only that 4000 Powell evaluations per start found nothing,
     and as a search the probe is weak: on random 5-node graphs built as
@@ -175,8 +177,8 @@ def verify_unique(
 
     def is_confounder(x):
         objective(x)
-        close = np.max(np.abs(d)) <= match_tol * scale
-        distinct = np.max(np.abs(w - q_dense)) > min_dist
+        close = np.max(np.abs(d)) <= MATCH_TOL * scale
+        distinct = np.max(np.abs(w - q_dense)) > MIN_DIST
         return close and distinct
 
     starts = []

@@ -48,6 +48,8 @@ from ..graph import RateModel, RateParams, build_generator, check_irreducible, e
 from .specs import GeneticsModelSpec, PosteriorSamples, chain_length
 
 BETA_TARGET_ACC = 0.234
+# sd of the simulated category means, mu_k ~ N(0, SIM_MU_SD^2) for k >= 1
+SIM_MU_SD = 0.5
 _TAIL = 6.0
 
 
@@ -228,10 +230,13 @@ def simulate_genetics(
     n_categories: int,
     individuals_per_node: int,
     seed: int,
-    mu_sd: float = 0.5,
     extra_rate_names=(),
 ) -> tuple:
-    """Forward-simulate allele data from the model; returns (spec, truth dict)."""
+    """Forward-simulate allele data from the model; returns (spec, truth dict).
+
+    Each locus draws its category means mu_k ~ N(0, SIM_MU_SD^2), k >= 1,
+    with mu_0 = 0.
+    """
     rng = np.random.default_rng(seed)
     m = graph.node_count
     rates = edge_rates_loglinear(graph, RateParams(tuple(beta_true), extra_rate_names))
@@ -242,7 +247,7 @@ def simulate_genetics(
     mus = []
     etas = []
     for _ in range(n_loci):
-        mu = np.concatenate([[0.0], rng.normal(0.0, mu_sd, n_categories - 1)])
+        mu = np.concatenate([[0.0], rng.normal(0.0, SIM_MU_SD, n_categories - 1)])
         # prior draws of the locus's constrained fields, one column per
         # category: unit driving noise pushed through the generator in one
         # solve, sum-zero by construction

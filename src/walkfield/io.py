@@ -1,5 +1,9 @@
 """CSV/JSON serialization: graph tables, trajectories, samples, manifests.
 
+Every CSV table the package reads is parsed here.  Node-keyed tables (the
+node table of a graph, the fit data table, the bundled Columbus files) go
+through ``read_node_table``, the one place that states the node-id rule.
+
 All CSV output is comma-separated UTF-8 with mandatory headers and '.'
 decimal separator; floats are written with repr so that identical inputs
 produce byte-identical files.
@@ -23,6 +27,65 @@ from .infer.specs import PosteriorSamples
 RESERVED_EDGE_COLS = ("from", "to", "distance", "downstream", "barrier")
 
 
+def read_node_table(path, columns, parse, m=None, record="node") -> list:
+    """``parse(row)`` for each record of a node_id-keyed CSV, in node order.
+
+    The header must name node_id and each of ``columns``, and the ids must
+    be 0..m-1, each once (``m`` defaults to the number of records).  A
+    missing column, a wrong record count, a bad id, and a record that
+    ``parse`` rejects raise ``DataError`` naming the file and the line the
+    record ends on: a TypeError or ValueError from ``parse`` reads
+    "malformed <record> record", a DataError keeps its message.
+    """
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        for c in ("node_id", *columns):
+            if c not in (reader.fieldnames or ()):
+                raise DataError(f"{path}: missing column '{c}'")
+        rows = [(reader.line_num, r) for r in reader]
+    if m is None:
+        m = len(rows)
+    elif len(rows) != m:
+        raise DataError(f"{path}: expected {m} rows, got {len(rows)}")
+    values = {}
+    for lineno, r in rows:
+        try:
+            i = int(r["node_id"])
+            value = parse(r)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed {record} record ({exc})") from None
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= i < m or i in values:
+            raise DataError(
+                f"{path}:{lineno}: node ids must be 0..{m-1} with no gaps or duplicates"
+            )
+        values[i] = value
+    return [values[i] for i in range(m)]
+
+
+def read_data_table(path, columns, m) -> np.ndarray:
+    """The numeric ``columns`` of a node_id-keyed table of m rows, as a (k, m) array.
+
+    Rows come out in node order; a cell that is not a finite number is a
+    ``DataError`` naming its line.
+    """
+
+    def cells(r):
+        v = np.array([float(r[c]) for c in columns])
+        if not np.isfinite(v).all():
+            raise DataError("non-finite value in data record")
+        return v
+
+    return np.array(read_node_table(path, columns, cells, m, "data")).T.copy()
+
+
+def _node(r):
+    """(label, (x, y) or None) of a node-table record."""
+    xy = (float(r["x"]), float(r["y"])) if "x" in r and "y" in r else None
+    return r.get("label", r["node_id"]), xy
+
+
 def load_graph(nodes_path, edges_path, symmetric: bool = False) -> SpatialGraph:
     """Load a graph from node and edge tables.
 
@@ -30,34 +93,21 @@ def load_graph(nodes_path, edges_path, symmetric: bool = False) -> SpatialGraph:
     from, to, distance, downstream, barrier, plus extra named covariates.
     With ``symmetric`` each edge record expands to both directed edges.
     """
-    nodes_path, edges_path = Path(nodes_path), Path(edges_path)
-    with open(nodes_path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or "node_id" not in reader.fieldnames:
-            raise DataError(f"{nodes_path}: node table needs a node_id column")
-        has_xy = "x" in reader.fieldnames and "y" in reader.fieldnames
-        nodes = []
-        for lineno, r in enumerate(reader, start=2):
-            try:
-                i = int(r["node_id"])
-                xy = (float(r["x"]), float(r["y"])) if has_xy else None
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{nodes_path}:{lineno}: malformed node record ({exc})") from None
-            nodes.append((i, r.get("label", r["node_id"]), xy))
+    nodes = read_node_table(Path(nodes_path), (), _node)
     m = len(nodes)
-    if sorted(i for i, _, _ in nodes) != list(range(m)):
-        raise DataError(f"{nodes_path}: node ids must be 0..{m-1} with no gaps or duplicates")
-    nodes.sort(key=lambda node: node[0])
-    labels = tuple(label for _, label, _ in nodes)
-    coords = tuple(xy for _, _, xy in nodes) if has_xy else None
+    labels = tuple(label for label, _ in nodes)
+    xys = tuple(xy for _, xy in nodes)
+    coords = None if None in xys else xys
 
+    edges_path = Path(edges_path)
     edges = []
     with open(edges_path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or not set(RESERVED_EDGE_COLS[:3]) <= set(reader.fieldnames):
             raise DataError(f"{edges_path}: edge table needs from,to,distance columns")
         extra_cols = [c for c in reader.fieldnames if c not in RESERVED_EDGE_COLS]
-        for lineno, r in enumerate(reader, start=2):
+        for r in reader:
+            lineno = reader.line_num
             try:
                 i, j = int(r["from"]), int(r["to"])
                 dist = float(r["distance"])

@@ -46,6 +46,8 @@ DEFAULT_EVENT_CAP = 50_000_000
 # largest expm round-off (a negative entry, or a row sum's distance from 1)
 # that the snapshot sampler clips away; anything larger is an error
 STOCHASTIC_ROUNDOFF = 1e-12
+# longest RK4 step of integrate_limit_ode; faster generators take 0.1 / max rate
+ODE_MAX_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -330,23 +332,20 @@ def integrate_limit_ode(
     demo: DemographyRates,
     z0,
     t_end: float,
-    dt: float | None = None,
     snapshot_every: float | None = None,
 ) -> PopulationTrajectory:
     """Classic fixed-step 4th-order integration of dz/dt = -Q'z + (b - d).
 
-    Steps are shortened to land exactly on each snapshot time and on t_end,
-    so recorded states need no interpolation.
+    The step is dt = min(ODE_MAX_STEP, 0.1 / max_i Q_ii), and ``snapshot_every`` defaults to it.  Steps are shortened to
+    land exactly on each snapshot time and on t_end, so recorded states
+    need no interpolation.
     """
     m = Q.dim
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (m,):
         raise DataError("z0 must have length M")
-    if dt is None:
-        qmax = float(np.max(Q.matrix.diagonal())) if m else 1.0
-        dt = min(0.01, 0.1 / qmax) if qmax > 0 else 0.01
-    if not dt > 0:
-        raise DataError("dt must be positive")
+    qmax = float(np.max(Q.matrix.diagonal())) if m else 1.0
+    dt = min(ODE_MAX_STEP, 0.1 / qmax) if qmax > 0 else ODE_MAX_STEP
     if snapshot_every is None:
         snapshot_every = dt
     grid = _snapshot_grid(t_end, snapshot_every)

@@ -145,6 +145,22 @@ class TestFieldSampling:
         singles = np.array([sample_field(fld, s).pi for s in range(3000)])
         assert batch[:, 0].std() == pytest.approx(singles[:, 0].std(), rel=0.05)
 
+    @pytest.mark.parametrize("beta", [(0.0, 0.0, 0.0), (0.0, 1.0, -1.0), (0.5, -0.8, 0.3)])
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 2.5])
+    def test_single_draw_is_the_first_batch_draw(self, beta, sigma):
+        # sample_field is sample_fields(fld, 1, seed)[0], and it keeps the
+        # seeded draws of a separate single-draw path, stated here
+        g = stream_network()
+        fld = IntrinsicField(build_generator(g, edge_rates_loglinear(g, RateParams(beta))),
+                             sigma=sigma)
+        for seed in range(5):
+            gamma = np.random.default_rng(seed).normal(0.0, sigma, fld.dim)
+            gamma -= gamma.mean()
+            single = sample_field(fld, seed)
+            assert single.seed == seed
+            assert np.array_equal(single.pi, fld._factor.solve(gamma))
+            assert np.array_equal(single.pi, sample_fields(fld, 1, seed)[0])
+
     def test_sigma_must_be_positive(self):
         rng = np.random.default_rng(4)
         with pytest.raises(DataError):

@@ -6,6 +6,7 @@ import json
 import re
 import time
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -82,6 +83,20 @@ def test_load_graph_bad_node_ids(tmp_path):
 def test_load_graph_malformed_edge_value(tmp_path):
     nodes, edges = write_tables(tmp_path, ["0,a", "1,b"], ["0,1,abc"])
     with pytest.raises(DataError, match=r"edges\.csv:2.*malformed"):
+        load_graph(nodes, edges)
+
+
+def test_load_graph_node_error_names_the_physical_line(tmp_path):
+    # record 1 spans lines 2-3 (a quoted label with a line break)
+    nodes, edges = write_tables(tmp_path, ['0,"a\nb"', "x,b"], ["0,1,1.0"])
+    with pytest.raises(DataError, match=r"nodes\.csv:4: malformed node record"):
+        load_graph(nodes, edges)
+
+
+def test_load_graph_edge_error_names_the_physical_line(tmp_path):
+    # record 1 spans lines 2-3 (a quoted distance with a line break)
+    nodes, edges = write_tables(tmp_path, ["0,a", "1,b"], ['0,1,"1.0\n"', "1,0,abc"])
+    with pytest.raises(DataError, match=r"edges\.csv:4: malformed edge record"):
         load_graph(nodes, edges)
 
 
@@ -370,6 +385,17 @@ def test_cli_build_bad_node_table_exit_3(tmp_path, capsys, row, match):
     assert re.search(match, err) and "Traceback" not in err
 
 
+def test_cli_build_node_table_without_node_id_exit_3(tmp_path, capsys):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,label\n0,a\n1,b\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("from,to,distance\n0,1,1.0\n")
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\n")
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{nodes}: missing column 'node_id'" in err and "Traceback" not in err
+
+
 def test_cli_numerical_overflow_exit_4(tmp_path, cli_graph, capsys):
     nodes, edges = cli_graph
     cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nbeta0=1e6\n")
@@ -451,9 +477,10 @@ def _fit_cfg(tmp_path, cli_graph, data_text=FIT_DATA):
     ("1,2.0,", "1,nan,", r"data\.csv:3: non-finite value in data record"),
     ("0,1.0,", "0,-inf,", r"data\.csv:2: non-finite value in data record"),
     ("-0.7\n", "inf\n", r"data\.csv:5: non-finite value in data record"),
+    ("node_id,y,h", "node_id,w,h", r"data\.csv: missing column 'y'"),
 ], ids=["response-not-a-number", "node-id-not-a-number", "short-row", "duplicate-id",
         "id-past-end", "negative-id", "nan-response", "negative-inf-response",
-        "inf-covariate"])
+        "inf-covariate", "no-response-column"])
 def test_cli_fit_bad_data_table_exit_3(tmp_path, cli_graph, capsys, old, new, match):
     cfg = _fit_cfg(tmp_path, cli_graph, FIT_DATA.replace(old, new))
     out = tmp_path / "fit"
@@ -462,6 +489,22 @@ def test_cli_fit_bad_data_table_exit_3(tmp_path, cli_graph, capsys, old, new, ma
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_fixture_fit_equals_fit_on_the_bundled_files(tmp_path):
+    data = resources.files("walkfield.data")
+    with (resources.as_file(data / "columbus_nodes.csv") as nodes,
+          resources.as_file(data / "columbus_edges.csv") as edges):
+        files = (f"nodes={nodes}\nedges={edges}\nsymmetric=true\ndata={nodes}\n"
+                 "response=crime\ncovariate=home_value\n")
+        outs = []
+        for name, source in (("fixture", "fixture=columbus\n"), ("files", files)):
+            cfg = write_cfg(tmp_path, source + "model=diffusion\niterations=300\nburnin=100\n",
+                            name=f"{name}.cfg")
+            assert main(["fit", "--config", str(cfg), "--seed", "5",
+                         "--out", str(tmp_path / name), "--quiet"]) == 0
+            outs.append((tmp_path / name / "samples.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_cli_fit_data_rows_in_any_order(tmp_path, cli_graph):
