@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, NumericalError, WalkfieldError
 from .field import (
-    FieldSample,
     IntrinsicField,
     constrained_solve,
     log_density,
     log_pseudo_det,
-    sample_field,
     sample_fields,
     stationary_precision,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "DemographyRates",
     "Edge",
     "EdgeCovariates",
-    "FieldSample",
     "GeneratorMatrix",
     "IdentifiabilityReport",
     "IntrinsicField",
@@ -74,7 +71,6 @@ __all__ = [
     "integrate_limit_ode",
     "log_density",
     "log_pseudo_det",
-    "sample_field",
     "sample_fields",
     "simulate_population",
     "stationary_precision",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .datasets import columbus_fixture
 from .errors import ConfigError, DataError, NumericalError, WalkfieldError
-from .field import IntrinsicField, sample_field
+from .field import IntrinsicField, sample_fields
 from .graph import RateParams, build_generator, check_irreducible, edge_rates_loglinear
 from .ident import check_identifiable
 from .infer.diagnostics import compute_dic, split_half_diagnostic
@@ -57,7 +57,8 @@ EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 
 GRAPH_KEYS = ("nodes", "edges", "symmetric")
 RATE_KEYS = ("beta0", "beta1", "beta2")
-PRIOR_KEYS = tuple(f.name for f in fields(PriorSpec))
+# the Gaussian model's priors; PriorSpec's genetics fields have no CLI key
+PRIOR_KEYS = ("regression_sd", "re_sd_scale", "tau2_shape", "tau2_scale")
 POPULATION_KEYS = GRAPH_KEYS + RATE_KEYS + (
     "seed", "t_end", "snapshot_every", "birth", "death", "initial_density"
 )
@@ -194,8 +195,8 @@ def _check_ident(job):
 def _simulate_field(job):
     """Draw one intrinsic field realization and write it as node_id,value CSV."""
     fld = IntrinsicField(job.Q, sigma=_get(job.cfg, "sigma", default=1.0))
-    sample = sample_field(fld, job.seed)
-    return ([(write_field_csv, sample.pi)], None,
+    pi = sample_fields(fld, 1, job.seed)[0]
+    return ([(write_field_csv, pi)], None,
             f"simulate-field: {fld.dim} nodes -> {job.out / 'field.csv'}")
 
 

@@ -124,16 +124,17 @@ def constrained_solve(Q: GeneratorMatrix, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntrinsicField:
-    """Immutable field object with its precision, factor and normalizer cached.
+    """Immutable field object: Q, the grounded LU of Q' and the normalizer.
 
-    logpdet is log det(F'QQ'F) = 2 log|det F'Q'F|, exact for directed Q.
-    sigma is the standard deviation of the driving noise.  The genetics
-    model fixes sigma = 1; the precision itself carries no free scale.
+    The factor is the only thing built from Q; log_density reads its
+    quadratic form from Q'pi.  logpdet is log det(F'QQ'F) = 2 log|det F'Q'F|,
+    exact for directed Q.  sigma is the standard deviation of the driving
+    noise.  The genetics model fixes sigma = 1; the precision itself
+    carries no free scale.
     """
 
     Q: GeneratorMatrix
     sigma: float = 1.0
-    precision: sp.csr_matrix = field(init=False, repr=False)
     logpdet: float = field(init=False)
     _factor: _GroundedLU = field(init=False, repr=False, compare=False)
 
@@ -141,24 +142,12 @@ class IntrinsicField:
         if not self.sigma > 0:
             raise DataError("sigma must be positive")
         factor = _GroundedLU(self.Q.matrix.T)
-        object.__setattr__(self, "precision", stationary_precision(self.Q))
         object.__setattr__(self, "logpdet", 2.0 * factor.logdet)
         object.__setattr__(self, "_factor", factor)
 
     @property
     def dim(self):
         return self.Q.dim
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    pi: np.ndarray
-    seed: int
-
-
-def sample_field(fld: IntrinsicField, seed: int) -> FieldSample:
-    """Draw one realization of the intrinsic field: ``sample_fields(fld, 1, seed)[0]``."""
-    return FieldSample(pi=sample_fields(fld, 1, seed)[0], seed=seed)
 
 
 def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
@@ -183,8 +172,10 @@ def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
 def log_density(pi: np.ndarray, fld: IntrinsicField) -> float:
     """Proper log density of the field on the sum-zero subspace.
 
-    -(M-1)/2 log(2 pi sigma^2) + 1/2 log det(F'QQ'F) - pi'QQ'pi / (2 sigma^2).
+    -(M-1)/2 log(2 pi sigma^2) + 1/2 log det(F'QQ'F) - |Q'pi|^2 / (2 sigma^2).
     The normalizing constant is exact, which matters for inference on Q.
+    The quadratic form pi'QQ'pi is the squared norm of g = Q'pi: a sum of
+    squares, free of the cancellation in pi'(QQ')pi on long reaches.
     """
     pi = np.asarray(pi, dtype=float)
     m = fld.dim
@@ -192,7 +183,8 @@ def log_density(pi: np.ndarray, fld: IntrinsicField) -> float:
         raise DataError(f"field vector must have length {m}")
     if abs(pi.sum()) > 1e-8 * max(1.0, np.max(np.abs(pi)) * m):
         raise DataError("field vector violates the sum-to-zero constraint")
-    quad = float(pi @ (fld.precision @ pi))
+    g = fld.Q.matrix.T @ pi
+    quad = float(g @ g)
     if not math.isfinite(quad):
         raise NumericalError("non-finite quadratic form")
     s2 = fld.sigma**2

@@ -235,7 +235,8 @@ def simulate_genetics(
     """Forward-simulate allele data from the model; returns (spec, truth dict).
 
     Each locus draws its category means mu_k ~ N(0, SIM_MU_SD^2), k >= 1,
-    with mu_0 = 0.
+    with mu_0 = 0, its field noise and its latent noise; one
+    ``constrained_solve`` then turns every locus's field noise into fields.
     """
     rng = np.random.default_rng(seed)
     m = graph.node_count
@@ -243,20 +244,17 @@ def simulate_genetics(
     Q = build_generator(graph, rates)
 
     node_of_ind = np.repeat(np.arange(m), individuals_per_node)
-    alleles = []
-    mus = []
-    etas = []
+    mus, gammas, noises = [], [], []
     for _ in range(n_loci):
-        mu = np.concatenate([[0.0], rng.normal(0.0, SIM_MU_SD, n_categories - 1)])
-        # prior draws of the locus's constrained fields, one column per
-        # category: unit driving noise pushed through the generator in one
-        # solve, sum-zero by construction
-        eta_full = constrained_solve(Q, rng.standard_normal((n_categories, m)).T)
-        noise = rng.standard_normal((node_of_ind.size, 2, n_categories))
-        lat = mu[None, None, :] + eta_full[node_of_ind][:, None, :] + noise
-        alleles.append(lat.argmax(axis=2))
-        mus.append(mu)
-        etas.append(eta_full)
+        mus.append(np.concatenate([[0.0], rng.normal(0.0, SIM_MU_SD, n_categories - 1)]))
+        gammas.append(rng.standard_normal((n_categories, m)))
+        noises.append(rng.standard_normal((node_of_ind.size, 2, n_categories)))
+    # one sum-zero prior field per (locus, category) column
+    etas = np.split(constrained_solve(Q, np.vstack(gammas).T), n_loci, axis=1)
+    alleles = [
+        (mu[None, None, :] + eta[node_of_ind][:, None, :] + noise).argmax(axis=2)
+        for mu, eta, noise in zip(mus, etas, noises)
+    ]
     spec = GeneticsModelSpec(
         graph=graph,
         node_of_individual=node_of_ind,

@@ -11,6 +11,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -27,6 +28,17 @@ from .infer.specs import PosteriorSamples
 RESERVED_EDGE_COLS = ("from", "to", "distance", "downstream", "barrier")
 
 
+@contextlib.contextmanager
+def _csv_errors(path, reader):
+    """Yield a ``csv.DictReader``; its ``csv.Error`` (say, an unclosed quote
+    that overruns the field limit) becomes a ``DataError`` at the bad record's
+    first line, one past where the reader's last good record ended."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num + 1}: malformed CSV ({exc})") from None
+
+
 def read_node_table(path, columns, parse, m=None, record="node") -> list:
     """``parse(row)`` for each record of a node_id-keyed CSV, in node order.
 
@@ -37,8 +49,7 @@ def read_node_table(path, columns, parse, m=None, record="node") -> list:
     record ends on: a TypeError or ValueError from ``parse`` reads
     "malformed <record> record", a DataError keeps its message.
     """
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    with open(path, newline="") as f, _csv_errors(path, csv.DictReader(f)) as reader:
         for c in ("node_id", *columns):
             if c not in (reader.fieldnames or ()):
                 raise DataError(f"{path}: missing column '{c}'")
@@ -101,8 +112,7 @@ def load_graph(nodes_path, edges_path, symmetric: bool = False) -> SpatialGraph:
 
     edges_path = Path(edges_path)
     edges = []
-    with open(edges_path, newline="") as f:
-        reader = csv.DictReader(f)
+    with open(edges_path, newline="") as f, _csv_errors(edges_path, csv.DictReader(f)) as reader:
         if reader.fieldnames is None or not set(RESERVED_EDGE_COLS[:3]) <= set(reader.fieldnames):
             raise DataError(f"{edges_path}: edge table needs from,to,distance columns")
         extra_cols = [c for c in reader.fieldnames if c not in RESERVED_EDGE_COLS]
@@ -190,14 +200,15 @@ def write_samples_csv(samples: PosteriorSamples, path):
                       np.column_stack([samples.draws, samples.loglik]).tolist())
 
 
-def read_samples_csv(path, metadata=None) -> PosteriorSamples:
+def read_samples_csv(path) -> PosteriorSamples:
     """Posterior draws from a CSV written by ``write_samples_csv``.
 
-    A missing header, a cell that is not a number or not finite, or a
-    ragged row raises ``DataError`` naming the file.
+    The metadata record the source path.  A missing or malformed header,
+    a cell that is not a number or not finite, or a ragged row raises
+    ``DataError`` naming the file.
     """
-    with open(path, newline="") as f:
-        header = next(csv.reader(f), None)
+    with open(path, newline="") as f, _csv_errors(path, csv.DictReader(f)) as reader:
+        header = reader.fieldnames
     if not header or header[-1] != "log_likelihood":
         raise DataError(f"{path}: expected trailing log_likelihood column")
     try:
@@ -212,7 +223,7 @@ def read_samples_csv(path, metadata=None) -> PosteriorSamples:
         raise DataError(f"{path}: no draws")
     try:
         return PosteriorSamples(
-            tuple(header[:-1]), data[:, :-1], data[:, -1], metadata or {"source": str(path)}
+            tuple(header[:-1]), data[:, :-1], data[:, -1], {"source": str(path)}
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

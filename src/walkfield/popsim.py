@@ -332,13 +332,13 @@ def integrate_limit_ode(
     demo: DemographyRates,
     z0,
     t_end: float,
-    snapshot_every: float | None = None,
+    snapshot_every: float,
 ) -> PopulationTrajectory:
     """Classic fixed-step 4th-order integration of dz/dt = -Q'z + (b - d).
 
-    The step is dt = min(ODE_MAX_STEP, 0.1 / max_i Q_ii), and ``snapshot_every`` defaults to it.  Steps are shortened to
-    land exactly on each snapshot time and on t_end, so recorded states
-    need no interpolation.
+    The step is dt = min(ODE_MAX_STEP, 0.1 / max_i Q_ii).  Steps are
+    shortened to land exactly on each snapshot time and on t_end, so
+    recorded states need no interpolation.
     """
     m = Q.dim
     z = np.asarray(z0, dtype=float).copy()
@@ -346,8 +346,6 @@ def integrate_limit_ode(
         raise DataError("z0 must have length M")
     qmax = float(np.max(Q.matrix.diagonal())) if m else 1.0
     dt = min(ODE_MAX_STEP, 0.1 / qmax) if qmax > 0 else ODE_MAX_STEP
-    if snapshot_every is None:
-        snapshot_every = dt
     grid = _snapshot_grid(t_end, snapshot_every)
 
     qt = Q.matrix.T.tocsr()

@@ -1,6 +1,7 @@
 """Intrinsic field law: precision, pseudo-determinant, constrained solves, density."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from walkfield.field import (
     constrained_solve,
     log_density,
     log_pseudo_det,
-    sample_field,
     sample_fields,
     stationary_precision,
 )
@@ -109,14 +109,13 @@ class TestFieldSampling:
         rng = np.random.default_rng(2)
         fld = IntrinsicField(sym_generator(rng, 7), sigma=1.3)
         for seed in range(5):
-            pi = sample_field(fld, seed).pi
+            pi = sample_fields(fld, 1, seed)[0]
             assert abs(pi.sum()) < 1e-9
 
     def test_same_seed_same_draw(self):
         rng = np.random.default_rng(2)
         fld = IntrinsicField(sym_generator(rng, 7))
-        np.testing.assert_array_equal(sample_field(fld, 9).pi,
-                                      sample_field(fld, 9).pi)
+        np.testing.assert_array_equal(sample_fields(fld, 1, 9), sample_fields(fld, 1, 9))
 
     def test_empirical_covariance_small_graph(self):
         # cheap version of the acceptance field-law check
@@ -142,24 +141,21 @@ class TestFieldSampling:
         Q = generator_from_rates(2, {(0, 1): 1.0, (1, 0): 1.0})
         fld = IntrinsicField(Q, sigma=2.0)
         batch = sample_fields(fld, 30000, seed=3)
-        singles = np.array([sample_field(fld, s).pi for s in range(3000)])
+        singles = np.array([sample_fields(fld, 1, s)[0] for s in range(3000)])
         assert batch[:, 0].std() == pytest.approx(singles[:, 0].std(), rel=0.05)
 
     @pytest.mark.parametrize("beta", [(0.0, 0.0, 0.0), (0.0, 1.0, -1.0), (0.5, -0.8, 0.3)])
     @pytest.mark.parametrize("sigma", [1.0, 0.37, 2.5])
     def test_single_draw_is_the_first_batch_draw(self, beta, sigma):
-        # sample_field is sample_fields(fld, 1, seed)[0], and it keeps the
-        # seeded draws of a separate single-draw path, stated here
+        # a one-draw batch solves the mean-subtracted noise of one
+        # sigma-scaled normal per node, in the seed's stream order
         g = stream_network()
         fld = IntrinsicField(build_generator(g, edge_rates_loglinear(g, RateParams(beta))),
                              sigma=sigma)
         for seed in range(5):
             gamma = np.random.default_rng(seed).normal(0.0, sigma, fld.dim)
             gamma -= gamma.mean()
-            single = sample_field(fld, seed)
-            assert single.seed == seed
-            assert np.array_equal(single.pi, fld._factor.solve(gamma))
-            assert np.array_equal(single.pi, sample_fields(fld, 1, seed)[0])
+            assert np.array_equal(sample_fields(fld, 1, seed)[0], fld._factor.solve(gamma))
 
     def test_sigma_must_be_positive(self):
         rng = np.random.default_rng(4)
@@ -184,7 +180,7 @@ class TestLogDensity:
             Q = sym_generator(rng, m)
             sigma = float(rng.uniform(0.5, 2.0))
             fld = IntrinsicField(Q, sigma=sigma)
-            pi = sample_field(fld, 0).pi
+            pi = sample_fields(fld, 1, 0)[0]
             P = stationary_precision(Q).toarray()
             evals = np.linalg.eigvalsh(P)
             oracle = (
@@ -193,6 +189,26 @@ class TestLogDensity:
                 - 0.5 * float(pi @ P @ pi) / sigma**2
             )
             assert log_density(pi, fld) == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("m", [1000, 5000])
+    def test_long_reach_quadratic_form_is_exact(self, m):
+        # On a long reach |pi| grows like M^1.5, so pi'(QQ')pi cancels to
+        # 1e-10..1e-8 relative here; log_density's |Q'pi|^2 is a sum of
+        # squares.  The reference evaluates |Q'pi|^2 in exact rationals.
+        rates = {(i, i + 1): 1.0 for i in range(m - 1)}
+        rates.update({(i + 1, i): 1.0 for i in range(m - 1)})
+        Q = generator_from_rates(m, rates)
+        fld = IntrinsicField(Q)
+        pi = sample_fields(fld, 1, seed=0)[0]
+        qt = Q.matrix.T.tocsr()
+        exact = Fraction(0)
+        for i in range(m):
+            cols = range(qt.indptr[i], qt.indptr[i + 1])
+            g = sum(Fraction(qt.data[c]) * Fraction(pi[qt.indices[c]]) for c in cols)
+            exact += g * g
+        const = -0.5 * (m - 1) * math.log(2.0 * math.pi) + 0.5 * fld.logpdet
+        quad = 2.0 * (const - log_density(pi, fld))
+        assert abs(Fraction(quad) - exact) <= 1e-13 * exact
 
     def test_rejects_unconstrained_argument(self):
         Q = generator_from_rates(2, {(0, 1): 1.0, (1, 0): 1.0})
@@ -256,7 +272,7 @@ class TestDirectedAndLongGraphs:
                                      (1, 2): 0.5, (2, 1): 3.0})
         fld = IntrinsicField(Q)
         assert fld.logpdet == pytest.approx(dense_restricted_logdet(Q.dense()), abs=1e-12)
-        assert abs(sample_field(fld, 0).pi.sum()) < 1e-12
+        assert abs(sample_fields(fld, 1, 0)[0].sum()) < 1e-12
         r = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(constrained_solve(Q, r),
                                    dense_sum_zero_solve(Q.dense(), r), atol=1e-12)

@@ -145,6 +145,26 @@ class TestSampler:
         assert spec.n_loci == 3
         assert all(a.shape == (40, 2) for a in spec.alleles)
 
+    @pytest.mark.parametrize("beta", [(0.0, 1.0, -1.0), (0.3, 2.0, 0.5), (0.0, -0.5, 0.0)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_simulation_is_the_per_locus_solve(self, beta, seed):
+        # one solve of every locus's noise columns gives, bit for bit, the
+        # fields and alleles of a solve per locus on the same draws
+        g = stream_network()
+        n_loci, k, per_node = 4, 3, 2
+        spec, truth = simulate_genetics(g, beta, n_loci, k, per_node, seed)
+        Q = build_generator(g, edge_rates_loglinear(g, RateParams(beta)))
+        rng = np.random.default_rng(seed)
+        node_of_ind = np.repeat(np.arange(g.node_count), per_node)
+        for l in range(n_loci):
+            mu = np.concatenate([[0.0], rng.normal(0.0, genetics.SIM_MU_SD, k - 1)])
+            eta = constrained_solve(Q, rng.standard_normal((k, g.node_count)).T)
+            noise = rng.standard_normal((node_of_ind.size, 2, k))
+            assert np.array_equal(truth["mu"][l], mu)
+            assert np.array_equal(truth["eta"][l], eta)
+            lat = mu[None, None, :] + eta[node_of_ind][:, None, :] + noise
+            assert np.array_equal(spec.alleles[l], lat.argmax(axis=2))
+
     def test_determinism(self, small_sim):
         spec, _ = small_sim
         a = fit_probit_genetics(spec, iterations=80, burnin=30, seed=2)

@@ -396,6 +396,30 @@ def test_cli_build_node_table_without_node_id_exit_3(tmp_path, capsys):
     assert f"{nodes}: missing column 'node_id'" in err and "Traceback" not in err
 
 
+# a quote that never closes swallows the rest of the file into one cell,
+# past the csv module's field limit of 131072 characters
+UNCLOSED_QUOTE = '0,"a\n' + "".join(f"{i},n{i}\n" for i in range(1, 30000))
+
+
+@pytest.mark.parametrize("table", ["nodes", "edges"])
+def test_cli_build_unclosed_quote_exit_3(tmp_path, capsys, table):
+    nodes, edges = write_tables(tmp_path, ["0,a", "1,b"], ["0,1,1.0"])
+    path = tmp_path / f"{table}.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n" + UNCLOSED_QUOTE)
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\n")
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(rf"{table}\.csv:2: malformed CSV \(field larger than field limit", err)
+    assert "Traceback" not in err
+
+
+def test_read_samples_unclosed_quote_in_header(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text('"mu,' + "x" * 140000 + "\r\n1.0,-3.0\r\n")
+    with pytest.raises(DataError, match=r"samples\.csv:1: malformed CSV"):
+        read_samples_csv(path)
+
+
 def test_cli_numerical_overflow_exit_4(tmp_path, cli_graph, capsys):
     nodes, edges = cli_graph
     cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nbeta0=1e6\n")
@@ -488,6 +512,20 @@ def test_cli_fit_bad_data_table_exit_3(tmp_path, cli_graph, capsys, old, new, ma
                  "--quiet"]) == 3
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "dic"])
+@pytest.mark.parametrize("key", ["rate_beta_sd", "mu_lk_sd"])
+def test_cli_fit_rejects_genetics_prior_keys_exit_2(tmp_path, cli_graph, capsys, command, key):
+    # the Gaussian fit reads only its own four prior keys
+    cfg = _fit_cfg(tmp_path, cli_graph)
+    cfg.write_text(cfg.read_text() + f"{key}=1e-9\nseed=5\n"
+                   + ("samples=samples.csv\n" if command == "dic" else ""))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and "Traceback" not in err
     assert not out.exists()
 
 
