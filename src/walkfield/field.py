@@ -47,7 +47,7 @@ class _GroundedLU:
     """
 
     def __init__(self, A):
-        A = sp.csc_matrix(A)
+        self.a = A = sp.csc_matrix(A)  # kept for products with A
         n_parts, _ = connected_components(A, directed=True, connection="strong")
         if n_parts > 1:
             raise NumericalError(
@@ -183,7 +183,7 @@ def log_density(pi: np.ndarray, fld: IntrinsicField) -> float:
         raise DataError(f"field vector must have length {m}")
     if abs(pi.sum()) > 1e-8 * max(1.0, np.max(np.abs(pi)) * m):
         raise DataError("field vector violates the sum-to-zero constraint")
-    g = fld.Q.matrix.T @ pi
+    g = fld._factor.a @ pi  # Q'pi
     quad = float(g @ g)
     if not math.isfinite(quad):
         raise NumericalError("non-finite quadratic form")
