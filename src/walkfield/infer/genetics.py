@@ -20,9 +20,16 @@ field update draws from that factor and factors nothing.  A bundle that
 cannot be formed raises ``NumericalError``, and the proposal is rejected and
 counted.  The fields are the columns of one (M, sum K) block, so the node
 scatter, the solves and the field noise (M - 1 normals per field) are one
-call each per sweep.  The random stream is consumed in the same order as by
-per-field loops, so seeded chains equal those of the per-field sampler up
-to roundoff.
+call each per sweep.
+
+The latent sweep is one vectorized truncated-normal update per category
+index c over every (locus, ploidy) block, each reading what the last wrote.
+Its uniforms are drawn in one call and handed out in the per-block order
+(locus, ploidy, category, winners then losers), so seeded chains equal
+those of per-field loops up to roundoff.  The exception is a latent
+truncated ``_TAIL`` sd or more into its tail: it leaves its uniform unused
+and takes Robert's exact tail sampler from the stream right after its
+category's update, the same law through a different stream.
 
 The per-draw log-likelihood of the alleles, with the latents integrated
 out by quadrature, runs once per occupied node rather than once per
@@ -82,20 +89,20 @@ def _std_lower_trunc(rng, a):
     entries run Robert's sampler in order.
     """
     if np.maximum.reduce(a, initial=-np.inf) < _TAIL:
-        return _central_trunc(rng, a)
+        return _central_trunc(a, rng.random(a.size))
     central = a < _TAIL
     out = np.empty_like(a)
-    out[central] = _central_trunc(rng, a[central])
+    out[central] = _central_trunc(a[central], rng.random(np.count_nonzero(central)))
     for i in np.flatnonzero(~central):
         out[i] = _robert_tail(rng, a[i])
     return out
 
 
-def _central_trunc(rng, a):
+def _central_trunc(a, u):
+    """Inverse-CDF draws beyond a from the uniforms u, which it overwrites."""
     lo = ndtr(a)
     # lo + (1 - lo) * U: the doubles rng.uniform(lo, 1.0) returns, without
     # its broadcasting
-    u = rng.random(a.size)
     u *= 1.0 - lo
     u += lo
     # clip away from 1.0: ndtri(1.0) is inf
@@ -110,6 +117,77 @@ def _robert_tail(rng, a):
         x = a + rng.exponential(1.0 / lam)
         if math.log(rng.random()) <= -0.5 * (x - lam) ** 2:
             return x
+
+
+class _SweepGroup(NamedTuple):
+    """The latents of one category index in every (locus, ploidy) block."""
+
+    z: np.ndarray  # flat index of each latent into z (field, individual, ploidy)
+    mean: np.ndarray  # flat index of its mean into the (individual, field) means
+    bound: np.ndarray  # (rows, latents) flat indices into z; their max is the bound
+    sign: np.ndarray  # +1 for a winner (bounded below), -1 for a loser (above)
+    draw: np.ndarray  # position of its uniform in the per-block draw order
+
+
+def _sweep_plan(alleles, n_categories):
+    """The latent sweep as one ``_SweepGroup`` per category index, in order.
+
+    The alleles are fixed, so every sweep touches the same entries.  A
+    winner's bound is the max over its rivals, padded with repeats to
+    max(K) - 1 rows where a locus has fewer; a loser's bound is its
+    winner's latent, in every row.  ``draw`` numbers the latents in the
+    per-block order: locus, ploidy, category, then the rows the category
+    wins before the rows it loses.
+    """
+    n_ind = alleles[0].shape[0]
+    n_fields = sum(n_categories)
+    rows = max(n_categories) - 1
+    parts = [[] for _ in range(rows + 1)]
+    off = drawn = 0
+    for obs, k in zip(alleles, n_categories):
+        for p in range(2):
+            winner = obs[:, p]
+            for cat in range(k):
+                ind = np.concatenate([np.flatnonzero(winner == cat),
+                                      np.flatnonzero(winner != cat)])
+                won = winner[ind] == cat
+                rivals = [c for c in range(k) if c != cat]
+                rivals += rivals[-1:] * (rows - len(rivals))
+                bound_cat = np.where(won, np.array(rivals)[:, None], winner[ind])
+                parts[cat].append((
+                    (off + cat) * 2 * n_ind + 2 * ind + p,
+                    ind * n_fields + off + cat,
+                    (off + bound_cat) * 2 * n_ind + 2 * ind + p,
+                    np.where(won, 1.0, -1.0),
+                    drawn + np.arange(n_ind),
+                ))
+                drawn += n_ind
+        off += k
+    return [_SweepGroup(*(np.concatenate(col, axis=-1) for col in zip(*group)))
+            for group in parts]
+
+
+def _latent_sweep(rng, plan, z, means):
+    """One truncated-normal Gibbs pass over every latent of the flat z, in place.
+
+    Each group's latents are N(mean, 1) truncated to keep the observed
+    category maximal in its block: a = s (bound - mean), z = mean + s x for
+    x ~ N(0, 1) beyond a.  Latents with a >= ``_TAIL`` take Robert's tail
+    sampler from the stream after their group's inverse-CDF draws, in draw
+    order, and leave their uniforms unused.
+    """
+    uniforms = rng.random(z.size)
+    for g in plan:
+        mean = means[g.mean]
+        a = z[g.bound].max(axis=0)
+        a -= mean
+        a *= g.sign
+        x = _central_trunc(a, uniforms[g.draw])
+        for i in np.flatnonzero(a >= _TAIL):
+            x[i] = _robert_tail(rng, a[i])
+        x *= g.sign
+        x += mean
+        z[g.z] = x
 
 
 @functools.cache
@@ -237,7 +315,13 @@ def simulate_genetics(
     Each locus draws its category means mu_k ~ N(0, SIM_MU_SD^2), k >= 1,
     with mu_0 = 0, its field noise and its latent noise; one
     ``constrained_solve`` then turns every locus's field noise into fields.
+    ``DataError`` unless n_loci >= 1, n_categories >= 2 and
+    individuals_per_node >= 1.
     """
+    for name, value, least in (("n_loci", n_loci, 1), ("n_categories", n_categories, 2),
+                               ("individuals_per_node", individuals_per_node, 1)):
+        if value < least:
+            raise DataError(f"{name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     m = graph.node_count
     rates = edge_rates_loglinear(graph, RateParams(tuple(beta_true), extra_rate_names))
@@ -331,28 +415,8 @@ def fit_probit_genetics(
     eta = np.zeros((m, n_fields))
     free_mu = np.concatenate([off + np.arange(1, k) for off, k in zip(offsets, n_cats)])
 
-    # The alleles are fixed, so each (locus, ploidy, category) update of the
-    # latent sweep touches the same entries every sweep: flat indices into z
-    # and into the (individual, field) means, for the rows the category wins
-    # and the rows it loses.
     n_slots = 2 * n_ind
-    sweep_plan = []
-    for l, k in enumerate(n_cats):
-        off = offsets[l]
-        for p in range(2):
-            winner = spec.alleles[l][:, p]
-            for cat in range(k):
-                win = np.flatnonzero(winner == cat)
-                lose = np.flatnonzero(winner != cat)
-                others = off + np.array([c for c in range(k) if c != cat])
-                sweep_plan.append((
-                    (off + cat) * n_slots + 2 * win + p,
-                    win * n_fields + off + cat,
-                    others[:, None] * n_slots + 2 * win + p,
-                    (off + cat) * n_slots + 2 * lose + p,
-                    lose * n_fields + off + cat,
-                    (off + winner[lose]) * n_slots + 2 * lose + p,
-                ))
+    sweep_plan = _sweep_plan(spec.alleles, n_cats)
     # one bincount scatters every field's slots to its own block of nodes
     slot_nodes = np.repeat(s_of_ind, 2)
     field_bins = (slot_nodes[None, :] + m * np.arange(n_fields)[:, None]).ravel()
@@ -390,15 +454,9 @@ def fit_probit_genetics(
     for it in range(iterations):
         if include_likelihood:
             # latent utilities: truncated-normal Gibbs keeping the observed
-            # category's latent maximal in its block, winners then losers
+            # category's latent maximal in its block
             means = (mu[None, :] + eta[s_of_ind, :]).ravel()
-            for win_z, win_m, win_rival, lose_z, lose_m, lose_cap in sweep_plan:
-                if win_z.size:
-                    z_flat[win_z] = truncated_normal(
-                        rng, means[win_m], lower=z_flat[win_rival].max(axis=0)
-                    )
-                if lose_z.size:
-                    z_flat[lose_z] = truncated_normal(rng, means[lose_m], upper=z_flat[lose_cap])
+            _latent_sweep(rng, sweep_plan, z_flat, means)
 
         # allele intercepts: conjugate Gaussian, mu_l0 pinned at zero
         noise = rng.standard_normal(free_mu.size)

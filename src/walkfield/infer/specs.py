@@ -90,7 +90,8 @@ class GeneticsModelSpec:
 
     alleles[l] is an (n_individuals, 2) integer array of 0-based allele
     categories at locus l; node_of_individual maps individuals to graph
-    nodes.  Observations must be complete (no missing slots).
+    nodes.  There must be at least one locus, and observations must be
+    complete (no missing slots).
     """
 
     graph: SpatialGraph
@@ -106,6 +107,8 @@ class GeneticsModelSpec:
             raise DataError("node_of_individual must be a nonempty vector")
         if (s < 0).any() or (s >= self.graph.node_count).any():
             raise DataError("individual placed at an invalid node index")
+        if not self.alleles:
+            raise DataError("at least one locus is required")
         if len(self.alleles) != len(self.n_categories):
             raise DataError("alleles and n_categories must align per locus")
         alleles = []

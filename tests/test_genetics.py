@@ -119,6 +119,21 @@ class TestSpecValidation:
                 n_categories=(3,),
             )
 
+    def test_rejects_zero_loci(self):
+        with pytest.raises(DataError, match="at least one locus"):
+            GeneticsModelSpec(graph=stream_network(), node_of_individual=np.zeros(4, dtype=int),
+                              alleles=(), n_categories=())
+
+    @pytest.mark.parametrize("sizes, name", [
+        ((0, 3, 2), "n_loci"),
+        ((2, 1, 2), "n_categories"),
+        ((2, 3, 0), "individuals_per_node"),
+        ((2, 3, -1), "individuals_per_node"),
+    ])
+    def test_simulation_rejects_bad_sizes(self, sizes, name):
+        with pytest.raises(DataError, match=name):
+            simulate_genetics(stream_network(), (0.0, 1.0, -1.0), *sizes, seed=0)
+
     def test_rejects_bad_node_index(self):
         g = stream_network()
         with pytest.raises(DataError):
@@ -543,7 +558,52 @@ def _assert_same_chain(spec, **kw):
     np.testing.assert_allclose(s.loglik, logliks, rtol=1e-9, atol=0)
 
 
+def _uneven_spec(seed):
+    """K = (2, 3, 5) on a random directed graph with an extra rate covariate
+    and empty nodes.  Alleles come from the model, so the likelihood holds
+    beta where F'PF factors (see test_prior_mode_survives_singular_field_precision
+    for where it does not)."""
+    rng = np.random.default_rng(100 + seed)
+    m = int(rng.integers(6, 12))
+    graph = _random_directed_graph(rng, m)
+    # individuals on about two thirds of the nodes, the rest empty
+    occupied = rng.choice(m, size=max(2, 2 * m // 3), replace=False)
+    nodes = np.sort(rng.choice(occupied, size=6 * m))
+    Q = build_generator(graph, edge_rates_loglinear(
+        graph, RateParams((0.0, 0.5, -0.5, 0.3), ("slope",))))
+    n_categories = (2, 3, 5)
+    alleles = []
+    for k in n_categories:
+        mu = np.concatenate([[0.0], rng.normal(0.0, 0.5, k - 1)])
+        eta = constrained_solve(Q, rng.standard_normal((m, k)))
+        latent = mu + eta[nodes][:, None, :] + rng.standard_normal((nodes.size, 2, k))
+        alleles.append(latent.argmax(axis=2))
+    assert np.bincount(nodes, minlength=m).min() == 0
+    return GeneticsModelSpec(graph=graph, node_of_individual=nodes, alleles=tuple(alleles),
+                             n_categories=n_categories, extra_rate_names=("slope",))
+
+
+def _uneven_fit(seed):
+    return dict(iterations=150, burnin=50, seed=seed, compute_loglik_every=5)
+
+
+def _count_robert_tails(monkeypatch):
+    """Record the truncation point of every Robert tail draw from now on."""
+    calls = []
+    robert = genetics._robert_tail
+
+    def counted(rng, a):
+        calls.append(a)
+        return robert(rng, a)
+
+    monkeypatch.setattr(genetics, "_robert_tail", counted)
+    return calls
+
+
 class TestAgainstReferenceSampler:
+    DEMO_FITS = {"sparse": dict(iterations=200, burnin=60, seed=3, compute_loglik_every=10),
+                 "default": dict(iterations=30, burnin=10, seed=4)}
+
     @pytest.fixture(scope="class")
     def demo_spec(self):
         spec, _ = simulate_genetics(stream_network(), (0.0, 1.0, -1.0), n_loci=8,
@@ -551,37 +611,28 @@ class TestAgainstReferenceSampler:
         return spec
 
     def test_demo_size_sparse_loglik(self, demo_spec):
-        _assert_same_chain(demo_spec, iterations=200, burnin=60, seed=3,
-                           compute_loglik_every=10)
+        _assert_same_chain(demo_spec, **self.DEMO_FITS["sparse"])
 
     def test_demo_size_default_loglik(self, demo_spec):
-        _assert_same_chain(demo_spec, iterations=30, burnin=10, seed=4)
+        _assert_same_chain(demo_spec, **self.DEMO_FITS["default"])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_directed_graphs_uneven_categories(self, seed):
-        # Alleles come from the model, so the likelihood holds beta where
-        # F'PF factors (see test_prior_mode_survives_singular_field_precision
-        # for where it does not).
-        rng = np.random.default_rng(100 + seed)
-        m = int(rng.integers(6, 12))
-        graph = _random_directed_graph(rng, m)
-        # individuals on about two thirds of the nodes, the rest empty
-        occupied = rng.choice(m, size=max(2, 2 * m // 3), replace=False)
-        nodes = np.sort(rng.choice(occupied, size=6 * m))
-        Q = build_generator(graph, edge_rates_loglinear(
-            graph, RateParams((0.0, 0.5, -0.5, 0.3), ("slope",))))
-        n_categories = (2, 3, 5)
-        alleles = []
-        for k in n_categories:
-            mu = np.concatenate([[0.0], rng.normal(0.0, 0.5, k - 1)])
-            eta = constrained_solve(Q, rng.standard_normal((m, k)))
-            latent = mu + eta[nodes][:, None, :] + rng.standard_normal((nodes.size, 2, k))
-            alleles.append(latent.argmax(axis=2))
-        spec = GeneticsModelSpec(graph=graph, node_of_individual=nodes, alleles=tuple(alleles),
-                                 n_categories=n_categories, extra_rate_names=("slope",))
-        assert np.bincount(nodes, minlength=m).min() == 0
-        _assert_same_chain(spec, iterations=150, burnin=50, seed=seed,
-                           compute_loglik_every=5)
+        _assert_same_chain(_uneven_spec(seed), **_uneven_fit(seed))
+
+    @pytest.mark.parametrize("chain", ["sparse", "default", 0, 1, 2])
+    def test_oracle_chains_draw_no_tails(self, demo_spec, monkeypatch, chain):
+        # The sampler consumes the reference's stream only while no latent's
+        # truncation point lies 6 sd or more beyond its mean; past that it
+        # draws Robert's tail from a different point of the stream.  The
+        # chains compared above must stay clear of that rule, so that they
+        # compare the same stream.
+        calls = _count_robert_tails(monkeypatch)
+        if chain in self.DEMO_FITS:
+            fit_probit_genetics(demo_spec, **self.DEMO_FITS[chain])
+        else:
+            fit_probit_genetics(_uneven_spec(chain), **_uneven_fit(chain))
+        assert calls == []
 
     def test_prior_mode(self, small_sim):
         spec, _ = small_sim
@@ -645,6 +696,103 @@ class TestTruncatedNormalStream:
         rng, ref = np.random.default_rng(19), np.random.default_rng(19)
         np.testing.assert_array_equal(truncated_normal(rng, mean, lower=0.5),
                                       _ref_truncated_normal(ref, mean, lower=0.5))
+
+
+def _sweep_state(seed, n_ind=60, n_categories=(2, 3, 5), mean_sd=1.0):
+    """Random alleles, (individual, field) means and (field, individual,
+    ploidy) latents whose observed category is maximal in every block."""
+    rng = np.random.default_rng(seed)
+    alleles = tuple(rng.integers(k, size=(n_ind, 2)) for k in n_categories)
+    means = rng.normal(scale=mean_sd, size=(n_ind, sum(n_categories)))
+    z = rng.standard_normal((sum(n_categories), n_ind, 2))
+    for block, obs in _blocks(z, alleles, n_categories):
+        block[obs, np.arange(n_ind)] = block.max(axis=0) + 0.5
+    return alleles, means, z
+
+
+def _blocks(z, alleles, n_categories):
+    """(category, individual) views of z per (locus, ploidy), with the observed categories."""
+    offsets = np.cumsum((0,) + tuple(n_categories))
+    for l, obs in enumerate(alleles):
+        for p in range(2):
+            yield z[offsets[l]:offsets[l + 1], :, p], obs[:, p]
+
+
+def _per_block_sweep(rng, z, means, alleles, n_categories):
+    """The latent sweep as one truncated_normal call per (locus, ploidy,
+    category) and winners/losers, in that order."""
+    offsets = np.cumsum((0,) + tuple(n_categories))
+    for (block, winner), off in zip(_blocks(z, alleles, n_categories), np.repeat(offsets, 2)):
+        for cat in range(block.shape[0]):
+            win = np.flatnonzero(winner == cat)
+            lose = np.flatnonzero(winner != cat)
+            rivals = np.delete(block, cat, axis=0)[:, win].max(axis=0)
+            if win.size:
+                block[cat, win] = truncated_normal(rng, means[win, off + cat], lower=rivals)
+            if lose.size:
+                block[cat, lose] = truncated_normal(rng, means[lose, off + cat],
+                                                    upper=block[winner[lose], lose])
+
+
+class TestLatentSweep:
+    """``_latent_sweep`` over a ``_sweep_plan``: one update per category index."""
+
+    @staticmethod
+    def _sweep(rng, z, means, alleles, n_categories):
+        plan = genetics._sweep_plan(alleles, n_categories)
+        genetics._latent_sweep(rng, plan, z.reshape(-1), means.ravel())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_block_loop_without_tails(self, monkeypatch, seed):
+        alleles, means, z = _sweep_state(seed)
+        n_categories = (2, 3, 5)
+        calls = _count_robert_tails(monkeypatch)
+        want = z.copy()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            self._sweep(rng, z, means, alleles, n_categories)
+            _per_block_sweep(ref, want, means, alleles, n_categories)
+            np.testing.assert_array_equal(z, want)
+        assert calls == []
+        assert rng.random() == ref.random()
+
+    def test_observed_category_stays_strictly_maximal(self, monkeypatch):
+        # means with sd 6 put many truncation points past the 6 sd tail rule
+        n_categories = (2, 3, 5)
+        alleles, means, z = _sweep_state(3, n_ind=200, mean_sd=6.0)
+        calls = _count_robert_tails(monkeypatch)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            self._sweep(rng, z, means, alleles, n_categories)
+            for block, obs in _blocks(z, alleles, n_categories):
+                rows = np.arange(obs.size)
+                rest = block.copy()
+                rest[obs, rows] = -np.inf
+                assert (block[obs, rows] > rest.max(axis=0)).all()
+        assert len(calls) > 100
+
+    def test_tail_draws_have_the_truncated_normal_law(self, monkeypatch):
+        # K = 2, every allele 0, rows alternating deep and central: the
+        # winner's update of a deep row starts at a = 0 - (-7) = 7, and the
+        # loser's at a = 8 - z_0, both past the tail rule
+        n_ind = 1500
+        deep = np.arange(n_ind) % 2 == 0
+        alleles = (np.zeros((n_ind, 2), dtype=int),)
+        means = np.zeros((n_ind, 2))
+        means[deep] = (-7.0, 8.0)
+        z = np.zeros((2, n_ind, 2))
+        z[0] = 0.5
+        calls = _count_robert_tails(monkeypatch)
+        self._sweep(np.random.default_rng(5), z, means, alleles, (2,))
+        assert len(calls) == 2 * 2 * deep.sum()
+        winner_x = (z[0, deep] + 7.0).ravel()
+        assert stats.kstest(winner_x, stats.truncnorm(7.0, np.inf).cdf).pvalue > 1e-3
+        loser_a = (8.0 - z[0, deep]).ravel()
+        loser_x = (8.0 - z[1, deep]).ravel()
+        assert (loser_a >= 6.0).all()
+        pit = stats.truncnorm.cdf(loser_x, loser_a, np.inf)
+        assert stats.kstest(pit, "uniform").pvalue > 1e-3
+        assert (z[0] > z[1]).all()
 
 
 class TestGeneticsLoglik:
