@@ -34,7 +34,7 @@ from . import __version__
 from .datasets import columbus_fixture
 from .errors import ConfigError, DataError, NumericalError, WalkfieldError
 from .field import IntrinsicField, sample_fields
-from .graph import RateParams, build_generator, check_irreducible, edge_rates_loglinear
+from .graph import RateModel, check_irreducible
 from .ident import check_identifiable
 from .infer.diagnostics import compute_dic, split_half_diagnostic
 from .infer.gaussian import fit_gaussian, gaussian_loglik_fn
@@ -114,11 +114,6 @@ def _load_cfg_graph(job):
     """Graph from config keys nodes/edges/symmetric."""
     nodes, edges = (_input_file(job, key) for key in ("nodes", "edges"))
     return load_graph(nodes, edges, symmetric=_as_bool(job.cfg, "symmetric"))
-
-
-def _cfg_rates(cfg, graph):
-    params = RateParams(beta=tuple(_get(cfg, key, default=0.0) for key in RATE_KEYS))
-    return build_generator(graph, edge_rates_loglinear(graph, params))
 
 
 def _seed_of(args, cfg):
@@ -348,7 +343,7 @@ def _execute(args):
               args.out or Path("."), [cfg_path])
     if cmd.graph:
         job.graph = _load_cfg_graph(job)
-        job.Q = _cfg_rates(cfg, job.graph)
+        job.Q = RateModel(job.graph).generator([_get(cfg, key, default=0.0) for key in RATE_KEYS])
     writes, extra, summary = cmd.run(job)
     job.out.mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -33,10 +33,13 @@ class EdgeCovariates:
     extras: tuple = ()  # ordered (name, value) pairs
 
     def __post_init__(self):
-        if not self.distance > 0:
-            raise DataError(f"edge distance must be positive, got {self.distance}")
+        if not 0 < self.distance < math.inf:
+            kind = "non-positive" if self.distance <= 0 else "non-finite"
+            raise DataError(f"{kind} distance {self.distance}")
         if self.downstream not in (0, 1) or self.barrier not in (0, 1):
             raise DataError("downstream/barrier indicators must be 0 or 1")
+        if not all(math.isfinite(v) for _, v in self.extras):
+            raise DataError(f"non-finite edge covariate in {self.extras}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,10 @@ class SpatialGraph:
 
 @dataclass(frozen=True)
 class RateParams:
-    """Log-linear rate coefficients: (intercept, downstream, barrier, *extras)."""
+    """Log-linear rate coefficients: (intercept, downstream, barrier, *extras).
+
+    Their finiteness is checked where they are used, in :meth:`RateModel.rates`.
+    """
 
     beta: tuple
     extra_names: tuple = ()
@@ -96,22 +102,22 @@ class RateParams:
                 f"(intercept, downstream, barrier + {len(self.extra_names)} extras), "
                 f"got {len(self.beta)}"
             )
-        if not all(math.isfinite(b) for b in self.beta):
-            raise ConfigError("rate coefficients must be finite")
 
 
 class RateModel:
     """Log-linear edge rates for one graph and coefficient names, compiled once.
 
-    Holds the edge endpoints ``src``/``dst``, the (E x p) ``design`` with
-    columns (1, downstream, barrier, *extras) and the edge ``distance``, so
-    that :meth:`rates` is a few array operations per call.  A missing extra
-    covariate raises :class:`ConfigError` here, not at the first evaluation.
+    Holds the node count ``dim``, the edge endpoints ``src``/``dst``, the
+    (E x p) ``design`` with columns (1, downstream, barrier, *extras) and the
+    edge ``distance``, so that :meth:`rates` and :meth:`generator` are a few
+    array operations per call.  A missing extra covariate raises
+    :class:`ConfigError` here, not at the first evaluation.
     """
 
     def __init__(self, graph: SpatialGraph, extra_names=()):
         extra_names = tuple(extra_names)
         edges = graph.edges
+        self.dim = graph.node_count
         self.src = np.array([e.src for e in edges], dtype=np.intp)
         self.dst = np.array([e.dst for e in edges], dtype=np.intp)
         self.distance = np.array([e.cov.distance for e in edges], dtype=float)
@@ -139,6 +145,8 @@ class RateModel:
             raise ConfigError(
                 f"expected {self.design.shape[1]} rate coefficients, got {len(beta)}"
             )
+        if not all(math.isfinite(b) for b in beta):
+            raise ConfigError("rate coefficients must be finite")
         lp = self.design[:, 0] * beta[0]
         for j in range(1, len(beta)):
             lp = lp + beta[j] * self.design[:, j]
@@ -153,6 +161,14 @@ class RateModel:
         # the C library's in the last bit for some arguments, and a last-bit
         # change in a rate can decide whether a nearly singular QQ' factors
         return np.array([math.exp(x) for x in lp.tolist()]) / self.distance
+
+    def generator(self, beta) -> GeneratorMatrix:
+        """The generator Q of :meth:`rates`; a rate that underflows to 0 raises."""
+        rates = self.rates(beta)
+        if not rates.all():
+            e = np.flatnonzero(rates == 0)[0]
+            raise NumericalError(f"rate on edge ({self.src[e]},{self.dst[e]}) underflows to 0")
+        return _assemble(self.dim, self.src, self.dst, rates)
 
 
 def edge_rates_loglinear(graph: SpatialGraph, params: RateParams) -> dict:
@@ -171,8 +187,9 @@ class GeneratorMatrix:
     """Sparse CTMC generator in the positive-diagonal convention.
 
     ``matrix`` is CSR with Q_ii = sum_k alpha_ik and Q_ij = -alpha_ij.
-    Built only through :func:`build_generator` / :func:`generator_from_rates`,
-    which enforce the exact zero row sums.
+    Built only through :meth:`RateModel.generator`, :func:`build_generator`
+    and :func:`generator_from_rates`, which set each Q_ii to its row's rate
+    sum, so rows sum to zero up to rounding.
     """
 
     dim: int
@@ -195,45 +212,49 @@ class GeneratorMatrix:
         return self.matrix.toarray()
 
 
+def _assemble(dim, src, dst, alpha) -> GeneratorMatrix:
+    """Q from edge arrays (distinct ``(src, dst)`` pairs, rates ``alpha >= 0``).
+
+    Zero rates are dropped from the sparsity pattern.  Q_ii is the sum of
+    row i's rates in increasing ``dst`` order, so its bits do not depend on
+    the order of the edges.  The CSR arrays are built directly, once.
+    """
+    nz = np.flatnonzero(alpha)
+    order = nz[np.argsort(src[nz] * dim + dst[nz])]
+    src, dst, alpha = src[order], dst[order], alpha[order]
+    diag = np.bincount(src, weights=alpha, minlength=dim)
+    exits = np.flatnonzero(diag > 0)
+    # row i's diagonal goes before its first edge with a column above i
+    at = np.searchsorted(src * dim + dst, exits * (dim + 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=dim) + (diag > 0))])
+    q = sp.csr_matrix((np.insert(-alpha, at, diag[exits]), np.insert(dst, at, exits), indptr),
+                      shape=(dim, dim))
+    return GeneratorMatrix(dim, q)
+
+
 def generator_from_rates(dim: int, rates: dict) -> GeneratorMatrix:
     """Assemble Q from a dict of (i, j) -> alpha_ij >= 0.
 
     Zero rates are dropped from the sparsity pattern.  The diagonal is the
-    negated off-diagonal row sum, so Q @ 1 == 0 holds exactly.
+    negated off-diagonal row sum, so Q @ 1 == 0 up to rounding.  A key
+    outside the dimension or on the diagonal, or a rate that is negative or
+    not finite, is a :class:`DataError` naming the key.
     """
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim)
-    for (i, j) in sorted(rates):
-        a = rates[(i, j)]
-        if not (0 <= i < dim and 0 <= j < dim) or i == j:
-            raise DataError(f"invalid rate key ({i},{j}) for dimension {dim}")
-        if a < 0:
-            raise DataError(f"negative rate {a} on edge ({i},{j})")
-        if a == 0:
-            continue
-        rows.append(i)
-        cols.append(j)
-        vals.append(-a)
-        diag[i] += a
-    for i in range(dim):
-        if diag[i] > 0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag[i])
-    q = sp.csr_matrix(
-        (np.array(vals, dtype=float), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-        shape=(dim, dim),
-    )
-    q.sort_indices()
-    return GeneratorMatrix(dim=dim, matrix=q)
+    i, j = np.array(list(rates), dtype=np.intp).reshape(-1, 2).T
+    alpha = np.array(list(rates.values()), dtype=float)
+    ok = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < dim) & (i != j)
+    bad = np.flatnonzero(~(ok & (alpha >= 0) & (alpha < math.inf)))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"invalid rate {alpha[k]} at key ({i[k]},{j[k]}) for dimension {dim}")
+    return _assemble(dim, i, j, alpha)
 
 
 def build_generator(graph: SpatialGraph, rates: dict) -> GeneratorMatrix:
     """Build the generator for a graph from a per-edge rate map."""
-    edge_set = {(e.src, e.dst) for e in graph.edges}
-    for key in rates:
-        if key not in edge_set:
-            raise DataError(f"rate given for ({key[0]},{key[1]}), which is not an edge")
+    stray = set(rates) - {(e.src, e.dst) for e in graph.edges}
+    if stray:
+        raise DataError(f"rate given for {min(stray)}, which is not an edge")
     dropped = [k for k, a in rates.items() if a == 0]
     if dropped:
         warnings.warn(

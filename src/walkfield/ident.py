@@ -150,6 +150,8 @@ def verify_unique(
 
     Explicit ``candidates`` (rate dicts) are polished first and bypass the
     identifiability precondition, so the loop counterexample can be planted.
+    A candidate key off the off-diagonal support, or a rate that is not
+    finite and positive, is a :class:`DataError`.
     """
     if not candidates:
         report = check_identifiable(Q)
@@ -181,11 +183,14 @@ def verify_unique(
         distinct = np.max(np.abs(w - q_dense)) > MIN_DIST
         return close and distinct
 
+    index = {p: k for k, p in enumerate(pairs)}
     starts = []
     for cand in candidates:
         x0 = np.full(len(pairs), -30.0)
         for p, a in cand.items():
-            x0[pairs.index(p)] = np.log(a)
+            if p not in index or not 0 < a < np.inf:
+                raise DataError(f"candidate {p}: {a} is not a finite rate > 0 off the diagonal")
+            x0[index[p]] = np.log(a)
         starts.append(x0)
     base = np.log(max(float(Q.rates.max()), 1e-6))
     for _ in range(trials):

@@ -48,10 +48,12 @@ from scipy.linalg import helmert, solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ..errors import DataError, NumericalError
-# stationary_precision is no longer called here; it stays importable under
-# this module, where bench/spans.py wraps it with the other layer calls
+# stationary_precision, build_generator and edge_rates_loglinear are no
+# longer called here; they stay importable under this module, where
+# bench/spans.py wraps them with the other layer calls
 from ..field import constrained_solve, stationary_precision  # noqa: F401
-from ..graph import RateModel, RateParams, build_generator, check_irreducible, edge_rates_loglinear
+from ..graph import RateModel, check_irreducible
+from ..graph import build_generator, edge_rates_loglinear  # noqa: F401
 from .specs import GeneticsModelSpec, PosteriorSamples, chain_length
 
 BETA_TARGET_ACC = 0.234
@@ -324,8 +326,7 @@ def simulate_genetics(
             raise DataError(f"{name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     m = graph.node_count
-    rates = edge_rates_loglinear(graph, RateParams(tuple(beta_true), extra_rate_names))
-    Q = build_generator(graph, rates)
+    Q = RateModel(graph, extra_rate_names).generator(tuple(beta_true))
 
     node_of_ind = np.repeat(np.arange(m), individuals_per_node)
     mus, gammas, noises = [], [], []
@@ -384,9 +385,7 @@ def fit_probit_genetics(
 
     rate_model = RateModel(spec.graph, spec.extra_rate_names)
     beta = np.zeros(n_beta)
-    rates0 = edge_rates_loglinear(spec.graph, RateParams(tuple(beta), spec.extra_rate_names))
-    Q0 = build_generator(spec.graph, rates0)
-    if not check_irreducible(Q0):
+    if not check_irreducible(rate_model.generator(beta)):
         raise DataError("graph must be irreducible under the rate model")
 
     F = helmert(m).T  # orthonormal basis of the sum-zero subspace

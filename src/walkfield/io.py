@@ -120,17 +120,15 @@ def load_graph(nodes_path, edges_path, symmetric: bool = False) -> SpatialGraph:
             lineno = reader.line_num
             try:
                 i, j = int(r["from"]), int(r["to"])
-                dist = float(r["distance"])
-                down = int(r.get("downstream", 0) or 0)
-                barrier = int(r.get("barrier", 0) or 0)
-                extras = tuple((c, float(r[c])) for c in extra_cols)
+                cov = EdgeCovariates(float(r["distance"]), int(r.get("downstream", 0) or 0),
+                                     int(r.get("barrier", 0) or 0),
+                                     tuple((c, float(r[c])) for c in extra_cols))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{edges_path}:{lineno}: malformed edge record ({exc})")
+            except DataError as exc:
+                raise DataError(f"{edges_path}:{lineno}: {exc}")
             if not (0 <= i < m and 0 <= j < m):
                 raise DataError(f"{edges_path}:{lineno}: edge endpoint {i}->{j} is dangling")
-            if dist <= 0:
-                raise DataError(f"{edges_path}:{lineno}: non-positive distance {dist}")
-            cov = EdgeCovariates(dist, down, barrier, extras)
             edges.append(Edge(i, j, cov))
             if symmetric:
                 edges.append(Edge(j, i, cov))

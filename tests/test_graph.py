@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkfield.datasets import stream_network
 from walkfield.errors import ConfigError, DataError, NumericalError
 from walkfield.graph import (
     Edge,
@@ -65,6 +66,18 @@ class TestGraphValidation:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(DataError):
             EdgeCovariates(0.0, 0, 0, ())
+
+    @pytest.mark.parametrize("distance, kind", [
+        (float("nan"), "non-finite"), (float("inf"), "non-finite"),
+        (-float("inf"), "non-positive"), (-1.0, "non-positive"),
+    ])
+    def test_rejects_non_finite_distance(self, distance, kind):
+        with pytest.raises(DataError, match=f"{kind} distance {distance}"):
+            EdgeCovariates(distance, 0, 0, ())
+
+    def test_rejects_non_finite_extra_covariate(self):
+        with pytest.raises(DataError, match="non-finite edge covariate"):
+            EdgeCovariates(1.0, 0, 0, (("slope", 0.5), ("width", float("nan"))))
 
     def test_rejects_out_of_range_endpoint(self):
         cov = EdgeCovariates(1.0, 0, 0, ())
@@ -175,6 +188,52 @@ class TestRateModel:
         with pytest.raises(ConfigError):
             RateModel(line_graph(3)).rates((0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [
+        lambda g, beta: RateModel(g).rates(beta),
+        lambda g, beta: RateModel(g).generator(beta),
+        lambda g, beta: edge_rates_loglinear(g, RateParams(beta)),
+    ], ids=["rates", "generator", "dict"])
+    def test_non_finite_coefficients_are_config_errors(self, bad, build):
+        with pytest.raises(ConfigError, match="rate coefficients must be finite"):
+            build(stream_network(), (bad, 0.0, 0.0))
+
+    def test_generator_equals_the_dict_route_bitwise(self):
+        # same data, indices and indptr as build_generator over the rate dict,
+        # and the dense matrix of a loop over the sorted edges: the diagonal
+        # is summed in column order whatever the order of the graph's edges
+        rng = np.random.default_rng(24)
+        names = ("slope", "width")
+        cases = [(stream_network(), (), rng.normal(scale=1.5, size=3)) for _ in range(10)]
+        for _ in range(30):
+            g = self.random_graph_with_extras(rng, int(rng.integers(2, 25)))
+            shuffled = tuple(g.edges[k] for k in rng.permutation(g.edge_count))
+            g = SpatialGraph(g.node_count, g.labels, shuffled)
+            cases.append((g, names, rng.normal(scale=1.5, size=5)))
+        for g, extra, beta in cases:
+            model = RateModel(g, extra)
+            got = model.generator(beta).matrix
+            want = build_generator(g, edge_rates_loglinear(g, RateParams(tuple(beta), extra)))
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want.matrix, attr))
+            assert got.shape == want.matrix.shape and got.has_canonical_format
+            dense = np.zeros(got.shape)
+            for i, j, a in sorted(zip(model.src, model.dst, model.rates(beta))):
+                dense[i, j] = -a
+                dense[i, i] += a
+            np.testing.assert_array_equal(got.toarray(), dense)
+
+    def test_generator_rejects_a_rate_that_underflows(self):
+        # exp(-699) / 1e300 is below the smallest subnormal double
+        cov = EdgeCovariates(1.0, 0, 0, ())
+        far = EdgeCovariates(1e300, 1, 0, ())
+        g = SpatialGraph(3, ("a", "b", "c"),
+                         (Edge(0, 1, cov), Edge(1, 0, cov), Edge(1, 2, far), Edge(2, 1, cov)))
+        beta = (0.0, -699.0, 0.0)
+        assert RateModel(g).rates(beta)[2] == 0.0
+        with pytest.raises(NumericalError, match=r"edge \(1,2\) underflows to 0"):
+            RateModel(g).generator(beta)
+
 
 class TestGenerator:
     def test_hand_values_three_node_path(self):
@@ -206,6 +265,16 @@ class TestGenerator:
         with pytest.warns(UserWarning):
             Q = build_generator(g, {(0, 1): 1.0, (1, 0): 0.0})
         assert Q.rates.nnz == 1
+
+    @pytest.mark.parametrize("key, rate", [
+        ((0, 1), float("nan")), ((0, 1), float("inf")), ((0, 1), -1.0),
+        ((0, 0), 1.0), ((0, 3), 1.0), ((-1, 1), 1.0),
+    ], ids=["nan", "inf", "negative", "diagonal", "outside", "negative-index"])
+    def test_bad_rate_is_data_error_naming_the_key(self, key, rate):
+        # a nan rate once left row 0 without a diagonal, so Q @ 1 != 0
+        match = rf"invalid rate {rate} at key \({key[0]},{key[1]}\) for dimension 3"
+        with pytest.raises(DataError, match=match):
+            generator_from_rates(3, {(1, 2): 1.0, key: rate, (2, 0): 1.0})
 
     def test_irreducible_line_graph(self):
         g = line_graph(5)

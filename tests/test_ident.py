@@ -102,6 +102,16 @@ class TestVerifyUnique:
                    if i != j and w[i, j] != 0.0}
         assert not verify_unique(Q, trials=0, seed=0, candidates=[w_rates])
 
+    @pytest.mark.parametrize("key, rate", [
+        ((0, 0), 1.0), ((0, 3), 1.0), ((-1, 0), 1.0),
+        ((0, 1), 0.0), ((0, 1), -1.0), ((0, 1), float("nan")), ((0, 1), float("inf")),
+    ], ids=["diagonal", "outside", "negative-index", "zero", "negative", "nan", "inf"])
+    def test_bad_candidate_is_data_error_naming_the_key(self, key, rate):
+        Q, _ = construct_confounded_pair([1.0, 2.0, 3.0])
+        candidate = {(1, 2): 1.0, key: rate}
+        with pytest.raises(DataError, match=rf"candidate \({key[0]}, {key[1]}\): {rate} is not"):
+            verify_unique(Q, trials=0, seed=0, candidates=[candidate])
+
     def test_loop_precondition_enforced(self):
         Q = directed_cycle([1.0, 2.0, 3.0])
         with pytest.raises(DataError):

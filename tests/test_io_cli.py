@@ -385,6 +385,25 @@ def test_cli_build_bad_node_table_exit_3(tmp_path, capsys, row, match):
     assert re.search(match, err) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row, match", [
+    ("1,0,1.0,2,0,0.5", r"edges\.csv:3: downstream/barrier indicators must be 0 or 1"),
+    ("1,0,nan,0,0,0.5", r"edges\.csv:3: non-finite distance nan"),
+    ("1,0,inf,0,0,0.5", r"edges\.csv:3: non-finite distance inf"),
+    ("1,0,-2.0,0,0,0.5", r"edges\.csv:3: non-positive distance -2.0"),
+    ("1,0,1.0,0,0,nan", r"edges\.csv:3: non-finite edge covariate"),
+], ids=["downstream-2", "distance-nan", "distance-inf", "distance-negative", "extra-nan"])
+def test_cli_build_bad_edge_record_exit_3(tmp_path, capsys, row, match):
+    # an infinite distance once gave a zero rate: a warning, the edge dropped
+    # from Q and exit 0 with "irreducible": false
+    nodes, edges = write_tables(tmp_path, ["0,a", "1,b"], ["0,1,1.0,0,0,0.5", row],
+                                edge_header="from,to,distance,downstream,barrier,slope")
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\n")
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_build_node_table_without_node_id_exit_3(tmp_path, capsys):
     nodes = tmp_path / "nodes.csv"
     nodes.write_text("id,label\n0,a\n1,b\n")
@@ -425,6 +444,16 @@ def test_cli_numerical_overflow_exit_4(tmp_path, cli_graph, capsys):
     cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nbeta0=1e6\n")
     assert main(["build", "--config", str(cfg)]) == 4
     assert capsys.readouterr().err.startswith("walkfield:")
+
+
+def test_cli_rate_underflow_exit_4(tmp_path, capsys):
+    # exp(-699) / 1e300 is 0 in double precision; the edge was once dropped
+    # from Q with a warning, and the build exited 0
+    nodes, edges = write_tables(tmp_path, ["0,a", "1,b"], ["0,1,1.0,0", "1,0,1e300,1"],
+                                edge_header="from,to,distance,downstream")
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nbeta1=-699\n")
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "rate on edge (1,0) underflows to 0" in capsys.readouterr().err
 
 
 def test_cli_fit_dic_diagnose_pipeline(tmp_path, cli_graph):
