@@ -12,10 +12,15 @@ Which sampler runs depends only on the death rates:
 * Some d_i > 0: Gillespie's direct method, event by event.  The 3M event
   rates (births, then removals, then moves out of each node) sit in one
   binary sum tree, so choosing an event and updating the at most four rates
-  it changes costs O(log M) per event rather than O(M).  The random draws
-  and their order are those of a plain cumulative-sum search over the same
-  rates: wherever the rate sums are exact (for instance with dyadic rates) a
-  seed gives the same path either way.
+  it changes costs O(log M) per event rather than O(M).  Every random number
+  comes from one stream of uniforms, the values successive scalar
+  rng.random() calls would return, drawn in blocks: per event, one for the
+  waiting time, taken by inversion as -log1p(-u) / total (1 - u is exact for
+  every u that random() returns), one to pick the event by searching the
+  tree, and for a move one more to pick the target.  A plain cumulative-sum
+  search over the same rates that takes the same uniforms in the same order
+  finds the same events wherever the rate sums are exact (for instance with
+  dyadic rates), so a seed gives the same path either way.
 * Every d_i = 0: walkers move independently and births form a Poisson
   stream, so the counts at the snapshot times are an exact Markov chain.
   Over a gap D the walkers at node i spread as Multinomial(n_i, P[i, :])
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import log1p
 
 import numpy as np
 from scipy.linalg import expm
@@ -48,6 +54,8 @@ DEFAULT_EVENT_CAP = 50_000_000
 STOCHASTIC_ROUNDOFF = 1e-12
 # longest RK4 step of integrate_limit_ode; faster generators take 0.1 / max rate
 ODE_MAX_STEP = 0.01
+# uniforms the event loop draws from its generator at a time
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -221,13 +229,15 @@ def simulate_population(
     carrying the snapshots so far as ``partial``.
     """
     m = Q.dim
-    n = np.asarray(n0, dtype=np.int64).copy()
-    if n.shape != (m,) or (n < 0).any():
-        raise DataError("n0 must be a nonnegative integer vector of length M")
+    n = np.asarray(n0)
+    if (n.shape != (m,) or n.dtype.kind not in "iuf" or not np.isfinite(n).all()
+            or (n < 0).any() or (n != np.rint(n)).any()):
+        raise DataError(f"n0 must be a nonnegative integer vector of length M, got {n0}")
+    n = n.astype(np.int64)
     if demo.b.shape != (m,):
         raise DataError("demography rate length does not match the graph")
-    if not N >= 1:
-        raise DataError(f"N must be at least 1, got {N}")
+    if not (N >= 1 and float(N).is_integer()):
+        raise DataError(f"N must be an integer of at least 1, got {N}")
     grid = _snapshot_grid(t_end, snapshot_every)
     rng = np.random.default_rng(seed)
 
@@ -263,20 +273,24 @@ def simulate_population(
     t = 0.0
     events = 0
     ended_early = False
+    # one stream of uniforms, drawn a block at a time: the values, in order, of
+    # successive scalar rng.random() calls, at a fraction of their per-call cost
+    draw = chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
 
     while True:
         total = tree[1]
         if total <= 0.0:
             ended_early = t < t_end
             break
-        t_next = t + rng.exponential(1.0 / total)
+        # exponential waiting time by inversion
+        t_next = t - log1p(-draw()) / total
         while gi < grid.size and grid_t[gi] <= t_next:
             snaps[gi] = counts  # process is piecewise constant: carry state forward
             gi += 1
         if gi >= grid.size:
             break
         t = t_next
-        k = _find_leaf(tree, rng.random() * total)
+        k = _find_leaf(tree, draw() * total)
         if k < m:
             i = k
             counts[i] += 1
@@ -289,7 +303,7 @@ def simulate_population(
                 _set_leaf(tree, k, 0.0)
         else:
             i = k - 2 * m
-            w = rng.random() * alpha_i[i]
+            w = draw() * alpha_i[i]
             j = targets[i][bisect_right(row_cum[i], w)]
             counts[i] -= 1
             counts[j] += 1
@@ -344,6 +358,8 @@ def integrate_limit_ode(
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (m,):
         raise DataError("z0 must have length M")
+    if not np.isfinite(z).all():
+        raise DataError(f"z0 must be finite, got {z0}")
     qmax = float(np.max(Q.matrix.diagonal())) if m else 1.0
     dt = min(ODE_MAX_STEP, 0.1 / qmax) if qmax > 0 else ODE_MAX_STEP
     grid = _snapshot_grid(t_end, snapshot_every)

@@ -254,6 +254,21 @@ class TestGenerator:
         Q = build_generator(g, rates)
         np.testing.assert_array_equal(Q.dense().sum(axis=1), np.zeros(12))
 
+    def test_rows_sum_to_zero_up_to_rounding_on_random_rates(self):
+        # Q_ii is one rounded sum of the row's rates and Q @ 1 adds the row in
+        # another order, so each row is zero up to a few roundings of Q_ii
+        rng = np.random.default_rng(16)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            m = int(rng.integers(3, 30))
+            rates = {(i, j): float(rng.uniform(0.01, 10.0))
+                     for i in range(m) for j in range(m)
+                     if i != j and (abs(i - j) == 1 or rng.random() < 0.3)}
+            Q = generator_from_rates(m, rates)
+            row_sums = np.abs(Q.matrix @ np.ones(m))
+            nnz = np.diff(Q.matrix.indptr)
+            assert (row_sums <= 4 * eps * nnz * Q.matrix.diagonal()).all()
+
     def test_diagonal_is_positive_exit_rate(self):
         g = line_graph(4)
         Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, 0.0, 0.0))))

@@ -1,9 +1,13 @@
 """Jump-process simulation, the deterministic limit, and their agreement."""
 
+from math import log1p
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from walkfield import popsim
 from walkfield.errors import DataError, NumericalError
@@ -87,7 +91,7 @@ def _reference_simulate(Q, demo, n0, N, t_end, seed, snapshot_every,
         if total <= 0.0:
             ended_early = t < t_end
             break
-        t_next = t + rng.exponential(1.0 / total)
+        t_next = t - log1p(-rng.random()) / total
         while gi < grid.size and grid[gi] <= t_next:
             snaps[gi] = n
             gi += 1
@@ -235,6 +239,15 @@ class TestSumTreeIdentity:
         assert 0 < new.value.partial.times.size < 201
         _assert_same_path(new.value.partial, ref.value.partial)
 
+    def test_long_path_crosses_block_refills(self):
+        # the event loop draws its uniforms a block at a time; thousands of
+        # events cross many refills, and the path must be the one scalar draws give
+        Q, demo, n0, _ = _dyadic_case(0)
+        args = (Q, demo, n0, 256, 4.0, 99, 0.5)
+        new = simulate_population(*args)
+        assert new.event_count > 5 * popsim._BLOCK
+        _assert_same_path(new, _reference_simulate(*args))
+
 
 class TestFindLeaf:
     LEAVES = [0.0, 0.0, 1.5, 0.0, 0.25, 0.0, 0.0, 2.0, 0.5, 0.0, 0.0]
@@ -303,6 +316,85 @@ class TestPopulationLaw:
         mean = N * mean
         se = np.sqrt(mean / self.REPS)
         assert (np.abs(finals.mean(axis=0) - mean) <= 6.0 * se).all()
+
+
+def _master_equation_final(alpha, birth, death, n0, t):
+    """Law of n(t) from the forward equation on {n : sum(n) <= K}, births past K leaking.
+
+    ``birth`` and ``death`` are the event rates N*b and N*d; removals are
+    suppressed at empty nodes.  K is raised until the mass that has leaked
+    by t is below 1e-12.  Returns the states (rows) and their probabilities.
+    """
+    m = len(n0)
+    K = int(sum(n0)) + 10
+    while True:
+        states = [s for s in np.ndindex(*(K + 1,) * m) if sum(s) <= K]
+        index = {s: k for k, s in enumerate(states)}
+        rows, cols, vals = [], [], []
+        for k, s in enumerate(states):
+            moves = []
+            for i in range(m):
+                up = s[:i] + (s[i] + 1,) + s[i + 1:]
+                down = s[:i] + (s[i] - 1,) + s[i + 1:]
+                moves.append((up, birth[i]))
+                if s[i] > 0:
+                    moves.append((down, death[i]))
+                    for j in range(m):
+                        if alpha[i, j] > 0:
+                            to = down[:j] + (down[j] + 1,) + down[j + 1:]
+                            moves.append((to, s[i] * alpha[i, j]))
+            for to, rate in moves:
+                rows.append(k)
+                cols.append(k)
+                vals.append(-rate)
+                if to in index:
+                    rows.append(index[to])
+                    cols.append(k)
+                    vals.append(rate)
+        A = sparse.csc_matrix((vals, (rows, cols)), shape=(len(states),) * 2)
+        p0 = np.zeros(len(states))
+        p0[index[tuple(int(v) for v in n0)]] = 1.0
+        p = expm_multiply(A * t, p0)
+        if 1.0 - p.sum() < 1e-12:
+            return np.array(states), p
+        K *= 2
+
+
+class TestMasterEquation:
+    """The event loop's law of n(t) with births and deaths, against the forward equation.
+
+    Non-dyadic rates on 2 and 3 nodes.  Over REPS seeds the per-node mean and
+    variance of the final counts must lie within Z standard errors of the
+    exact moments; the standard error of the sample variance uses the exact
+    fourth central moment.
+    """
+
+    REPS = 2000
+    Z = 5.0
+
+    # far from equilibrium at t, so the moments depend on the waiting-time law
+    @pytest.mark.parametrize("seed, n0, N, t", [
+        pytest.param(41, [8, 0], 2, 0.5, id="2-nodes"),
+        pytest.param(42, [6, 0, 2], 2, 0.5, id="3-nodes"),
+    ])
+    def test_final_counts_match_master_equation(self, seed, n0, N, t):
+        m = len(n0)
+        rng = np.random.default_rng(seed)
+        Q = generator_from_rates(
+            m, random_directed_rates(rng, m, lambda: float(rng.uniform(0.5, 2.0))))
+        demo = DemographyRates(b=rng.uniform(0.2, 1.0, size=m), d=rng.uniform(0.5, 1.5, size=m))
+        states, p = _master_equation_final(Q.rates.toarray(), N * demo.b, N * demo.d, n0, t)
+        mean = p @ states
+        c = states - mean
+        var = p @ c**2
+        mu4 = p @ c**4
+        finals = np.array([simulate_population(Q, demo, n0, N, t, s, t).values[-1]
+                           for s in range(self.REPS)])
+        n = self.REPS
+        se_mean = np.sqrt(var / n)
+        se_var = np.sqrt(mu4 / n - var**2 * (n - 3) / (n * (n - 1)))
+        assert (np.abs(finals.mean(axis=0) - mean) <= self.Z * se_mean).all()
+        assert (np.abs(finals.var(axis=0, ddof=1) - var) <= self.Z * se_var).all()
 
 
 class TestSnapshotSampler:
@@ -417,11 +509,38 @@ class TestRejectsBadInputs:
         with pytest.raises(DataError):
             simulate_population(two_node_Q(), demo, [5, 5], N, t_end, 0, every)
 
+    @pytest.mark.parametrize("death", [0.0, 0.5], ids=["closed", "deaths"])
+    @pytest.mark.parametrize("n0, N", [
+        pytest.param([2.7, 3.9], 10, id="fractional-n0"),
+        pytest.param([np.nan, 3.0], 10, id="nan-n0"),
+        pytest.param([np.inf, 3.0], 10, id="inf-n0"),
+        pytest.param([5, 5], 2.5, id="fractional-N"),
+        pytest.param([5, 5], np.inf, id="inf-N"),
+    ])
+    def test_simulate_population_integrality(self, death, n0, N):
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, death))
+        with pytest.raises(DataError, match="n0 must|N must"):
+            simulate_population(two_node_Q(), demo, n0, N, 1.0, 0, 0.5)
+
+    def test_integral_float_counts_are_accepted(self):
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, 0.5))
+        a = simulate_population(two_node_Q(), demo, [5.0, 5.0], 10.0, 1.0, 3, 0.5)
+        b = simulate_population(two_node_Q(), demo, [5, 5], 10, 1.0, 3, 0.5)
+        np.testing.assert_array_equal(a.values, b.values)
+
     @pytest.mark.parametrize("t_end, every", BAD_GRIDS)
     def test_integrate_limit_ode(self, t_end, every):
         with pytest.raises(DataError):
             integrate_limit_ode(two_node_Q(), no_demography(2), [0.5, 0.5], t_end,
                                 snapshot_every=every)
+
+    @pytest.mark.parametrize("z0", [[np.nan, 0.5], [0.5, np.inf]], ids=["nan", "inf"])
+    def test_non_finite_z0(self, z0):
+        with pytest.raises(DataError, match="z0 must be finite"):
+            integrate_limit_ode(two_node_Q(), no_demography(2), z0, 1.0, snapshot_every=0.5)
+        demo = DemographyRates(b=np.full(2, 0.5), d=np.full(2, 0.5))
+        with pytest.raises(DataError, match="z0 must be finite"):
+            convergence_gap(two_node_Q(), demo, z0, 1.0, N_list=[10], replicates=1, seed=0)
 
 
 class TestLimitODE:
