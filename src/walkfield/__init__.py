@@ -5,6 +5,12 @@ the finite-population jump process and its deterministic limit, samples and
 evaluates the intrinsic random field whose precision is QQ', decides
 identifiability of Q from QQ', and fits the Gaussian and multinomial-probit
 spatial models by MCMC with DIC comparison.
+
+Importing the package loads numpy and scipy.sparse, and no other scipy
+submodule.  Every scipy function from outside scipy.sparse is a stand-in
+in ``walkfield._scipy`` that imports its submodule at its first call; a
+module imports the stand-in under the scipy name (``popsim.expm``,
+``ident.minimize``), so a command pays only for the submodules it calls.
 """
 
 __version__ = "0.1.0"

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
+from ._scipy import connected_components, splu
 from .errors import DataError, NumericalError
 from .graph import GeneratorMatrix
 
@@ -55,7 +54,7 @@ class _GroundedLU:
                 "needs an irreducible generator"
             )
         try:
-            self._lu = spla.splu(A[1:, 1:])
+            self._lu = splu(A[1:, 1:])
         except RuntimeError as exc:
             raise NumericalError(f"grounded factorization failed ({exc})") from exc
         v = np.ones(A.shape[0])

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
+from ._scipy import connected_components
 from .errors import ConfigError, DataError, NumericalError
 
 # |linear predictor| beyond this would overflow exp; hard error, never inf

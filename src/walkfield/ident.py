@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._scipy import minimize
 from .errors import DataError
 from .graph import GeneratorMatrix, check_irreducible, generator_from_rates
 

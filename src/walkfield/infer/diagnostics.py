@@ -17,7 +17,8 @@ def compute_dic(samples: PosteriorSamples, loglik_fn) -> DICResult:
 
     The deviance is -2 log L conditional on every sampled parameter
     (including the spatial effect), evaluated per draw for dbar and at the
-    component-wise posterior mean for d_at_mean.
+    component-wise posterior mean for d_at_mean.  Samples without a
+    parameter that ``loglik_fn`` reads raise ``DataError`` naming it.
     """
     if samples.n_draws < MIN_DIC_DRAWS:
         raise DataError(
@@ -25,7 +26,12 @@ def compute_dic(samples: PosteriorSamples, loglik_fn) -> DICResult:
             f"got {samples.n_draws}"
         )
     dbar = float(np.mean(-2.0 * samples.loglik))
-    d_at_mean = -2.0 * float(loglik_fn(samples.mean()))
+    try:
+        at_mean = loglik_fn(samples.mean())
+    except KeyError as exc:
+        source = samples.metadata.get("source", "samples")
+        raise DataError(f"{source}: no draws of model parameter {exc.args[0]!r}") from None
+    d_at_mean = -2.0 * float(at_mean)
     return DICResult(dbar=dbar, d_at_mean=d_at_mean)
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import helmert
 
+from .._scipy import helmert
 from ..errors import DataError, NumericalError
 from ..field import constrained_solve, stationary_precision
 from ..graph import GeneratorMatrix, RateModel, check_irreducible
@@ -75,9 +75,11 @@ def gaussian_loglik_fn(spec: GaussianModelSpec):
     m = c.size
 
     def loglik(params: dict) -> float:
+        # read in the order of the draws' names, so a missing one is the first
+        mu, beta, sigma, tau = params["mu"], params["beta"], params["sigma"], params["tau"]
         eta = np.array([params[f"eta_{i}"] for i in range(m)])
-        mean = params["mu"] + params["beta"] * x + params["sigma"] * eta
-        tau2 = params["tau"] ** 2
+        mean = mu + beta * x + sigma * eta
+        tau2 = tau**2
         resid = c - mean
         return -0.5 * m * math.log(2.0 * math.pi * tau2) - 0.5 * float(resid @ resid) / tau2
 

@@ -44,9 +44,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import helmert, solve_triangular
-from scipy.special import log_ndtr, ndtr, ndtri
 
+from .._scipy import helmert, log_ndtr, ndtr, ndtri, solve_triangular
 from ..errors import DataError, NumericalError
 # stationary_precision, build_generator and edge_rates_loglinear are no
 # longer called here; they stay importable under this module, where

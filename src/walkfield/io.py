@@ -202,13 +202,18 @@ def read_samples_csv(path) -> PosteriorSamples:
     """Posterior draws from a CSV written by ``write_samples_csv``.
 
     The metadata record the source path.  A missing or malformed header,
-    a cell that is not a number or not finite, or a ragged row raises
-    ``DataError`` naming the file.
+    a column name given twice, a cell that is not a number or not finite,
+    or a ragged row raises ``DataError`` naming the file.
     """
     with open(path, newline="") as f, _csv_errors(path, csv.DictReader(f)) as reader:
         header = reader.fieldnames
     if not header or header[-1] != "log_likelihood":
         raise DataError(f"{path}: expected trailing log_likelihood column")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column {name!r}")
+        seen.add(name)
     try:
         with warnings.catch_warnings():
             # a header-only file is reported as "no draws" below

@@ -43,8 +43,8 @@ from itertools import accumulate, chain
 from math import log1p
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._scipy import expm
 from .errors import DataError, NumericalError
 from .graph import GeneratorMatrix
 

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import walkfield.ident as ident
 from walkfield.errors import DataError
 from walkfield.ident import (
     IDENTIFIABLE,
@@ -111,6 +112,25 @@ class TestVerifyUnique:
         candidate = {(1, 2): 1.0, key: rate}
         with pytest.raises(DataError, match=rf"candidate \({key[0]}, {key[1]}\): {rate} is not"):
             verify_unique(Q, trials=0, seed=0, candidates=[candidate])
+
+    @pytest.mark.parametrize("trials, own", [(3, 0), (1, 2)])
+    def test_one_minimize_per_start(self, monkeypatch, trials, own):
+        # the benchmark counts restarts by wrapping ident.minimize, so every
+        # start must be one call of it when no confounder turns up
+        g = line_graph(4)
+        Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, 0.0, 0.0))))
+        q = Q.dense()
+        rates = {(i, j): q[i, j] for i in range(4) for j in range(4) if i != j and q[i, j] > 0}
+        real = ident.minimize
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ident, "minimize", counted)
+        assert verify_unique(Q, trials=trials, seed=0, candidates=[rates] * own)
+        assert len(calls) == trials + own
 
     def test_loop_precondition_enforced(self):
         Q = directed_cycle([1.0, 2.0, 3.0])

@@ -506,6 +506,41 @@ def test_cli_malformed_samples_exit_3(tmp_path, capsys):
     assert str(samples) in err and "Traceback" not in err
 
 
+def test_read_samples_duplicate_column_is_data_error(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("mu,beta,mu,log_likelihood\r\n1.0,2.0,3.0,-4.0\r\n")
+    with pytest.raises(DataError, match="duplicate column 'mu'") as err:
+        read_samples_csv(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("edit, commands, match", [
+    ("drop", ["dic"], r"no draws of model parameter 'eta_48'"),
+    ("rename", ["dic", "diagnose"], r"duplicate column 'eta_48'"),
+], ids=["eta_48-dropped", "eta_47-renamed-eta_48"])
+def test_cli_dic_samples_without_a_parameter_exit_3(tmp_path, capsys, edit, commands, match):
+    fit = "fixture=columbus\nmodel=spatial\niterations=150\nburnin=20\n"
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(write_cfg(tmp_path, fit, name="fit.cfg")),
+                 "--seed", "2", "--out", str(out), "--quiet"]) == 0
+    rows = [line.split(",") for line in (out / "samples.csv").read_text().splitlines()]
+    if edit == "drop":
+        j = rows[0].index("eta_48")
+        rows = [r[:j] + r[j + 1:] for r in rows]
+    else:
+        rows[0][rows[0].index("eta_47")] = "eta_48"
+    samples = tmp_path / "samples.csv"
+    samples.write_text("".join(",".join(r) + "\r\n" for r in rows))
+    for command in commands:
+        text = (fit if command == "dic" else "") + f"samples={samples}\n"
+        cfg = write_cfg(tmp_path, text, name=f"{command}.cfg")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command),
+                     "--quiet"]) == 3, command
+        err = capsys.readouterr().err
+        assert re.search(match, err) and str(samples) in err and "Traceback" not in err
+        assert not (tmp_path / command).exists()
+
+
 FIT_DATA = "node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n"
 
 
