@@ -28,6 +28,5 @@ expm = _deferred("scipy.linalg", "expm")
 helmert = _deferred("scipy.linalg", "helmert")
 solve_triangular = _deferred("scipy.linalg", "solve_triangular")
 minimize = _deferred("scipy.optimize", "minimize")
-log_ndtr = _deferred("scipy.special", "log_ndtr")
 ndtr = _deferred("scipy.special", "ndtr")
 ndtri = _deferred("scipy.special", "ndtri")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._scipy import connected_components
 from .errors import ConfigError, DataError, NumericalError
 
 # |linear predictor| beyond this would overflow exp; hard error, never inf
@@ -266,12 +265,34 @@ def build_generator(graph: SpatialGraph, rates: dict) -> GeneratorMatrix:
 
 
 def check_irreducible(Q: GeneratorMatrix) -> bool:
-    """True iff the digraph of strictly positive rates is strongly connected."""
-    a = Q.rates
-    if Q.dim == 1:
-        return True
-    n, _ = connected_components(a, directed=True, connection="strong")
-    return n == 1
+    """True iff the digraph of strictly positive rates is strongly connected.
+
+    That holds iff a search from node 0 reaches every node both along the
+    edges and against them.  The edges are the nonzero entries of Q's CSR
+    pattern; the diagonal among them adds self-loops, which reach nothing.
+    """
+    q = Q.matrix
+    src = np.repeat(np.arange(Q.dim), np.diff(q.indptr))
+    edge = q.data != 0
+    src, dst = src[edge], q.indices[edge]
+    return _reaches_all(Q.dim, src, dst) and _reaches_all(Q.dim, dst, src)
+
+
+def _reaches_all(n, src, dst):
+    """True iff a depth-first search from node 0 along the edges src -> dst
+    reaches all n nodes."""
+    order = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    succ = dst[order].tolist()
+    seen = [True] + [False] * (n - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in succ[start[i]:start[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return all(seen)
 
 
 def to_sar(Q: GeneratorMatrix):

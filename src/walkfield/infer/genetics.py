@@ -31,10 +31,15 @@ truncated ``_TAIL`` sd or more into its tail: it leaves its uniform unused
 and takes Robert's exact tail sampler from the stream right after its
 category's update, the same law through a different stream.
 
-The per-draw log-likelihood of the alleles, with the latents integrated
-out by quadrature, runs once per occupied node rather than once per
-individual.  ``genetics_loglik_fn`` evaluates it for any {name: value}
-draw, so ``compute_dic`` takes a genetics fit.
+The per-draw log-likelihood of the alleles integrates the latents out by
+Gauss-Hermite quadrature, P(k wins) = sum_q w_q prod_{a != k} Phi(t_q + m_k
+- m_a).  Individuals at one node share their means, so one evaluation is
+one ``category_probs`` call over the distinct observed (occupied node,
+field) pairs of all loci, not a call per locus over every node and
+category.  Each entry is summed over its own quadrature nodes, so its bits
+do not depend on the other rows; the sums over individuals run per (locus,
+ploidy) in individual order.  ``genetics_loglik_fn`` evaluates it for any
+{name: value} draw, so ``compute_dic`` takes a genetics fit.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .._scipy import helmert, log_ndtr, ndtr, ndtri, solve_triangular
+from .._scipy import helmert, ndtr, ndtri, solve_triangular
 from ..errors import DataError, NumericalError
 # stationary_precision, build_generator and edge_rates_loglinear are no
 # longer called here; they stay importable under this module, where
@@ -138,34 +143,38 @@ def _sweep_plan(alleles, n_categories):
     max(K) - 1 rows where a locus has fewer; a loser's bound is its
     winner's latent, in every row.  ``draw`` numbers the latents in the
     per-block order: locus, ploidy, category, then the rows the category
-    wins before the rows it loses.
+    wins before the rows it loses.  Every block is one row of the same
+    arrays, and each group takes the rows of its category index.
     """
-    n_ind = alleles[0].shape[0]
-    n_fields = sum(n_categories)
-    rows = max(n_categories) - 1
-    parts = [[] for _ in range(rows + 1)]
-    off = drawn = 0
-    for obs, k in zip(alleles, n_categories):
-        for p in range(2):
-            winner = obs[:, p]
-            for cat in range(k):
-                ind = np.concatenate([np.flatnonzero(winner == cat),
-                                      np.flatnonzero(winner != cat)])
-                won = winner[ind] == cat
-                rivals = [c for c in range(k) if c != cat]
-                rivals += rivals[-1:] * (rows - len(rivals))
-                bound_cat = np.where(won, np.array(rivals)[:, None], winner[ind])
-                parts[cat].append((
-                    (off + cat) * 2 * n_ind + 2 * ind + p,
-                    ind * n_fields + off + cat,
-                    (off + bound_cat) * 2 * n_ind + 2 * ind + p,
-                    np.where(won, 1.0, -1.0),
-                    drawn + np.arange(n_ind),
-                ))
-                drawn += n_ind
-        off += k
-    return [_SweepGroup(*(np.concatenate(col, axis=-1) for col in zip(*group)))
-            for group in parts]
+    winners = np.stack(alleles).transpose(0, 2, 1)  # (locus, ploidy, individual)
+    n_loci, _, n_ind = winners.shape
+    k = np.array(n_categories)
+    rows = int(k.max()) - 1
+    # one block per (locus, ploidy, category), in that order
+    k_block = np.repeat(k, 2)
+    locus_ploidy = np.repeat(np.arange(2 * n_loci), k_block)
+    cat = np.arange(locus_ploidy.size) - np.repeat(np.cumsum(k_block) - k_block, k_block)
+    locus, p = np.divmod(locus_ploidy, 2)
+    off = (np.cumsum(k) - k)[locus]
+    winner = winners.reshape(2 * n_loci, n_ind)[locus_ploidy]
+    # each block's winners, then its losers, in individual order
+    ind = np.argsort(winner != cat[:, None], axis=1, kind="stable")
+    winner = np.take_along_axis(winner, ind, axis=1)
+    won = winner == cat[:, None]
+    # each block's rival categories in increasing order, the last repeated
+    j = np.minimum(np.arange(rows), k[locus][:, None] - 2)
+    rival = j + (j >= cat[:, None])
+    bound_cat = np.where(won[:, None, :], rival[:, :, None], winner[:, None, :])
+    slot = 2 * ind + p[:, None]
+    z = (off + cat)[:, None] * 2 * n_ind + slot
+    mean = ind * int(k.sum()) + (off + cat)[:, None]
+    bound = (off[:, None, None] + bound_cat) * 2 * n_ind + slot[:, None, :]
+    sign = np.where(won, 1.0, -1.0)
+    draw = np.arange(cat.size * n_ind).reshape(cat.size, n_ind)
+    return [_SweepGroup(z[g].ravel(), mean[g].ravel(),
+                        bound[g].transpose(1, 0, 2).reshape(rows, -1),
+                        sign[g].ravel(), draw[g].ravel())
+            for g in (cat == c for c in range(rows + 1))]
 
 
 def _latent_sweep(rng, plan, z, means):
@@ -201,47 +210,74 @@ def _gauss_hermite():
     return nodes, weights
 
 
-def category_probs(means: np.ndarray) -> np.ndarray:
+def category_probs(means: np.ndarray, category=None) -> np.ndarray:
     """P(category k attains the max) for latents N(means_k, 1), per row.
 
     Gauss-Hermite quadrature over the winning latent:
-    p_k = E_t[ prod_{a != k} Phi(t + m_k - m_a) ] with t ~ N(0, 1).
+    p_k = E_t[ prod_{a != k} Phi(t + m_k - m_a) ] with t ~ N(0, 1).  The
+    Phi factors are multiplied in increasing a, and each row's 40 node
+    values are summed against the weights on their own, so an entry's bits
+    do not depend on the other rows of the call.  With ``category``, one
+    index per row, only that category's probability is formed and the
+    result has one value per row; a rival mean of -inf then contributes
+    Phi(inf) = 1, which pads a row with fewer categories exactly.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
-    k = means.shape[1]
-    # others[c] lists the categories a != c in increasing order
+    n, k = means.shape
+    if category is None:
+        rows, cats = np.divmod(np.arange(n * k), k)
+    else:
+        rows, cats = np.arange(n), np.asarray(category)
+    # the k - 1 rivals of each row's category, in increasing order
     cols = np.arange(k - 1)
-    others = cols + (cols >= np.arange(k)[:, None])
-    # t + m_k - m_a for every (row, k, a != k, node)
+    rivals = cols + (cols >= cats[:, None])
     nodes, weights = _gauss_hermite()
-    diff = (means[:, :, None] - means[:, others])[..., None] + nodes
-    inner = np.exp(log_ndtr(diff).sum(axis=2))  # (n, k, n_quad)
-    return inner @ weights
+    # t + m_k - m_a for every (row, rival, node)
+    f = (means[rows, cats][:, None] - means[rows[:, None], rivals])[:, :, None] + nodes
+    ndtr(f, out=f)
+    p = (np.multiply.reduce(f, axis=1) * weights).sum(axis=-1)
+    return p if category is not None else p.reshape(n, k)
 
 
 class _AlleleLoglik:
     """Marginal log-likelihood of the observed alleles given (mu, eta).
 
     The latents are integrated out by ``category_probs``.  Individuals at
-    one node share their means, so the quadrature runs once per occupied
-    node and locus, and each individual reads its node's row.
+    one node share their means, so an evaluation is one call over the
+    distinct observed (occupied node, field) pairs of every locus, a field
+    being one category of one locus, and each allele reads its pair's
+    probability.  Loci with fewer than max(K) categories pad their rivals
+    with a mean of -inf.
     """
 
     def __init__(self, spec: GeneticsModelSpec):
-        self.occupied, self.row_of_ind = np.unique(spec.node_of_individual, return_inverse=True)
-        self.alleles = spec.alleles
-        self.blocks = [(off, off + k) for off, k in
-                       zip(np.cumsum((0,) + spec.n_categories[:-1]), spec.n_categories)]
+        self.occupied, row_of_ind = np.unique(spec.node_of_individual, return_inverse=True)
+        n_cats = np.array(spec.n_categories)
+        n_fields = int(n_cats.sum())
+        offsets = np.cumsum(n_cats) - n_cats
+        # cols[l]: locus l's fields, padded with column n_fields, which holds -inf
+        c = np.arange(n_cats.max())
+        cols = np.where(c < n_cats[:, None], offsets[:, None] + c, n_fields)
+        # the field of every allele, in (locus, ploidy, individual) order
+        fields = offsets[:, None, None] + np.stack(spec.alleles).transpose(0, 2, 1)
+        pairs, pair_of_allele = np.unique(row_of_ind * n_fields + fields, return_inverse=True)
+        self.pair_of_allele = pair_of_allele.reshape(fields.shape)
+        row, field = np.divmod(pairs, n_fields)
+        locus = np.repeat(np.arange(n_cats.size), n_cats)[field]
+        self.category = field - offsets[locus]
+        # flat index of each pair's means into the padded (row, field + 1) block
+        self.mean_index = row[:, None] * (n_fields + 1) + cols[locus]
 
     def __call__(self, mu, eta):
         """``mu``: the (sum K,) intercepts; ``eta``: the (node, sum K) fields."""
         means = mu[None, :] + eta[self.occupied, :]
-        rows = self.row_of_ind
+        padded = np.concatenate([means, np.full((means.shape[0], 1), -np.inf)], axis=1)
+        p = category_probs(padded.ravel()[self.mean_index], self.category)
+        logp = np.log(np.clip(p, 1e-300, 1.0))
         total = 0.0
-        for (start, stop), obs in zip(self.blocks, self.alleles):
-            p = np.clip(category_probs(means[:, start:stop]), 1e-300, 1.0)
-            for pl in range(2):
-                total += float(np.log(p[rows, obs[:, pl]]).sum())
+        # one sum over individuals per (locus, ploidy), added in that order
+        for part in logp[self.pair_of_allele].sum(axis=-1).ravel().tolist():
+            total += part
         return total
 
 
@@ -362,9 +398,10 @@ def fit_probit_genetics(
     """Posterior sampling for (beta, mu_lk, eta fields, latent z).
 
     The per-draw log-likelihood marginalizes the latents via quadrature
-    over category-max probabilities, once per occupied node (used for
-    diagnostics, not for any update; ``genetics_loglik_fn`` is the same
-    evaluation over a named draw).  It is evaluated at every
+    over category-max probabilities, once per distinct observed (occupied
+    node, field) pair (used for diagnostics, not for any update;
+    ``genetics_loglik_fn`` is the same evaluation over a named draw).  It
+    is evaluated at every
     ``compute_loglik_every``-th kept draw; the rows between carry the last
     evaluated value forward.  ``include_likelihood=False`` freezes the
     latents out of every update, reducing each step to its prior (Gibbs

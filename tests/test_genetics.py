@@ -343,6 +343,22 @@ def _ref_truncated_normal(rng, mean, lower=None, upper=None):
 
 
 def _ref_category_probs(means, n_quad=40):
+    """p_k = sum_q w_q prod_{a != k} Phi(t_q + m_k - m_a): the product taken
+    in increasing a (the a = k factor set to 1) and each row contracted
+    against the weights on its own, the sampler's order of operations."""
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    n, k = means.shape
+    diff = means[:, :, None, None] - means[:, None, :, None] + nodes[None, None, None, :]
+    cdf = ndtr(diff)
+    for a in range(k):
+        cdf[:, a, a, :] = 1.0
+    return (cdf.prod(axis=2) * weights).sum(axis=-1)
+
+
+def _ref_category_probs_log(means, n_quad=40):
+    """The same quadrature in log space: exp of a sum of log Phi."""
     means = np.atleast_2d(np.asarray(means, dtype=float))
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
     weights = weights / math.sqrt(2.0 * math.pi)
@@ -661,6 +677,32 @@ class TestAgainstReferenceSampler:
             means = rng.normal(scale=2.0, size=(40, k))
             np.testing.assert_array_equal(category_probs(means), _ref_category_probs(means))
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
+    def test_category_probs_agree_with_the_log_form(self, k, scale):
+        # The Phi product and exp(sum log Phi) agree within 1e-13 relative,
+        # except where the rounding of the log form's exponent, about
+        # eps |log p| relative, is larger: from p ~ 1e-98 down.  There both
+        # forms err by up to ~1e-13 against a 40-digit evaluation on the same
+        # arguments, which is the accuracy of Phi itself so deep in its tail.
+        means = np.random.default_rng(40 + k).normal(scale=scale, size=(300, k))
+        p = category_probs(means)
+        ref = _ref_category_probs_log(means)
+        kept = ref >= 1e-290
+        assert kept.mean() > 0.9
+        eps = np.finfo(float).eps
+        bound = np.maximum(1e-13, 2.0 * eps * (1.0 - np.log(ref[kept])))
+        assert (np.abs(p[kept] - ref[kept]) <= bound * ref[kept]).all()
+
+    def test_padded_rival_is_exact(self):
+        # a -inf rival contributes Phi(inf) = 1, so padding a K = 3 row to
+        # K = 5 leaves each probability's bits unchanged
+        means = np.random.default_rng(13).normal(scale=2.0, size=(30, 3))
+        padded = np.hstack([means, np.full((30, 2), -np.inf)])
+        cats = np.arange(30) % 3
+        np.testing.assert_array_equal(category_probs(padded, cats),
+                                      category_probs(means)[np.arange(30), cats])
+
 
 class TestTruncatedNormalStream:
     @staticmethod
@@ -732,6 +774,52 @@ def _per_block_sweep(rng, z, means, alleles, n_categories):
             if lose.size:
                 block[cat, lose] = truncated_normal(rng, means[lose, off + cat],
                                                     upper=block[winner[lose], lose])
+
+
+def _ref_sweep_plan(alleles, n_categories):
+    """``_sweep_plan`` as one loop over (locus, ploidy, category) blocks."""
+    n_ind = alleles[0].shape[0]
+    n_fields = sum(n_categories)
+    rows = max(n_categories) - 1
+    parts = [[] for _ in range(rows + 1)]
+    off = drawn = 0
+    for obs, k in zip(alleles, n_categories):
+        for p in range(2):
+            winner = obs[:, p]
+            for cat in range(k):
+                ind = np.concatenate([np.flatnonzero(winner == cat),
+                                      np.flatnonzero(winner != cat)])
+                won = winner[ind] == cat
+                rivals = [c for c in range(k) if c != cat]
+                rivals += rivals[-1:] * (rows - len(rivals))
+                bound_cat = np.where(won, np.array(rivals)[:, None], winner[ind])
+                parts[cat].append((
+                    (off + cat) * 2 * n_ind + 2 * ind + p,
+                    ind * n_fields + off + cat,
+                    (off + bound_cat) * 2 * n_ind + 2 * ind + p,
+                    np.where(won, 1.0, -1.0),
+                    drawn + np.arange(n_ind),
+                ))
+                drawn += n_ind
+        off += k
+    return [genetics._SweepGroup(*(np.concatenate(col, axis=-1) for col in zip(*group)))
+            for group in parts]
+
+
+@pytest.mark.parametrize("case", ["demo", 0, 1, 2])
+def test_sweep_plan_matches_the_block_loop(case):
+    if case == "demo":
+        spec, _ = simulate_genetics(stream_network(), (0.0, 1.0, -1.0), n_loci=8,
+                                    n_categories=4, individuals_per_node=5, seed=123)
+    else:
+        spec = _uneven_spec(case)
+    got = genetics._sweep_plan(spec.alleles, spec.n_categories)
+    want = _ref_sweep_plan(spec.alleles, spec.n_categories)
+    assert len(got) == len(want) == max(spec.n_categories)
+    for g, w in zip(got, want):
+        for name, a, b in zip(w._fields, g, w):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestLatentSweep:
@@ -839,6 +927,41 @@ class TestGeneticsLoglik:
             for pl in range(2):
                 expected += float(np.log(p[rows, y[:, pl]]).sum())
         assert genetics_loglik_fn(spec)(draw) == expected
+
+    def test_one_category_probs_call_per_evaluation(self, monkeypatch):
+        # one call covers every distinct observed (node, locus, category)
+        # triple once, its rivals padded to max(K) with -inf
+        spec = _uneven_spec(0)
+        k_max = max(spec.n_categories)
+        calls = []
+        kernel = genetics.category_probs
+
+        def counted(means, category=None):
+            calls.append((means.copy(), np.array(category)))
+            return kernel(means, category)
+
+        monkeypatch.setattr(genetics, "category_probs", counted)
+        rng = np.random.default_rng(32)
+        m = spec.graph.node_count
+        mu = [np.concatenate([[0.0], rng.normal(size=k - 1)]) for k in spec.n_categories]
+        eta = [rng.normal(size=(m, k)) for k in spec.n_categories]
+        draw = {f"mu_{l}_{c}": mu[l][c] for l, k in enumerate(spec.n_categories)
+                for c in range(1, k)}
+        draw.update({f"eta_{l}_{c}_{s}": eta[l][s, c] for l, k in enumerate(spec.n_categories)
+                     for c in range(k) for s in range(m)})
+        genetics_loglik_fn(spec)(draw)
+        assert len(calls) == 1
+        means, category = calls[0]
+        triples = {(s, l, y) for l, obs in enumerate(spec.alleles)
+                   for s, row in zip(spec.node_of_individual, obs) for y in row}
+        want = sorted((tuple(np.pad(mu[l] + eta[l][s], (0, k_max - mu[l].size),
+                                    constant_values=-np.inf)), y) for s, l, y in triples)
+        assert sorted(zip(map(tuple, means), category.tolist())) == want
+        assert len(want) < sum(2 * obs.shape[0] for obs in spec.alleles)
+
+        calls.clear()
+        s = fit_probit_genetics(spec, iterations=60, burnin=20, seed=0)
+        assert len(calls) == s.n_draws
 
     def test_dic_of_a_genetics_fit(self, fit):
         spec, samples = fit

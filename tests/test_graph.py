@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from walkfield.datasets import stream_network
 from walkfield.errors import ConfigError, DataError, NumericalError
@@ -302,6 +303,22 @@ class TestGenerator:
         # node 2 cannot reach... actually it can; build a genuinely reducible one
         Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0})
         assert not check_irreducible(Q)
+
+    def test_matches_strong_components_on_random_digraphs(self):
+        # sparse random digraphs on 1-12 nodes, 56% of them reducible,
+        # against scipy's strongly connected components of the rate matrix
+        rng = np.random.default_rng(41)
+        verdicts = []
+        for _ in range(300):
+            m = int(rng.integers(1, 13))
+            p = rng.uniform(0.1, 0.6)
+            rates = {(i, j): float(rng.uniform(0.1, 2.0)) for i in range(m) for j in range(m)
+                     if i != j and rng.random() < p}
+            Q = generator_from_rates(m, rates)
+            n_parts, _ = connected_components(Q.rates, directed=True, connection="strong")
+            verdicts.append(n_parts == 1)
+            assert check_irreducible(Q) == (n_parts == 1)
+        assert 0.3 < np.mean(verdicts) < 0.7
 
 
 class TestSARCorrespondence:

@@ -31,3 +31,28 @@ def test_import_loads_no_deferred_scipy_submodule():
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
                          timeout=120).stdout
     assert out.split() == []
+
+
+def test_build_and_check_ident_load_no_csgraph(tmp_path):
+    # strong connectivity is two searches over Q's pattern; only the field's
+    # grounded factorization imports scipy.sparse.csgraph
+    (tmp_path / "nodes.csv").write_text("node_id,label\n" + "".join(f"{i},n{i}\n"
+                                                                     for i in range(5)))
+    (tmp_path / "edges.csv").write_text("from,to,distance\n"
+                                        "0,1,1.0\n1,2,2.0\n2,3,1.0\n3,4,1.5\n4,0,1.0\n")
+    cfg = tmp_path / "graph.cfg"
+    cfg.write_text(f"nodes={tmp_path / 'nodes.csv'}\nedges={tmp_path / 'edges.csv'}\n"
+                   "symmetric=true\nbeta0=0.5\n")
+    code = (
+        "import sys\nfrom walkfield.cli import main\n"
+        "for cmd in ('build', 'check-ident'):\n"
+        f"    print(main([cmd, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r} + '/' + cmd,"
+        " '--quiet']))\n"
+        "print('scipy.sparse.csgraph' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+                         timeout=120).stdout
+    assert out.split() == ["0", "0", "False"]
+    assert (tmp_path / "build" / "generator.json").is_file()
+    assert (tmp_path / "check-ident" / "identifiability.json").is_file()
