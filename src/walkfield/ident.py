@@ -8,7 +8,6 @@ the same QQ'.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass
 
@@ -69,6 +68,8 @@ def check_identifiable(Q: GeneratorMatrix) -> IdentifiabilityReport:
     loop even though its reversal coincides with Q and no distinct confounder
     exists there; the loop label describes topology only.
     """
+    if Q.dim < 2:
+        raise DataError(f"identifiability needs at least 2 nodes, got {Q.dim}")
     supp = _support(Q)
     thresholded = generator_from_rates(
         Q.dim, {(i, j): 1.0 for i, j in zip(*np.nonzero(supp))}
@@ -133,7 +134,10 @@ def verify_unique(
 
     Runs ``trials`` random restarts of a gradient-free local search over
     log-rates on the full off-diagonal support (log-rates can sink edges to
-    zero, so denser supports are covered).  Returns True when no candidate
+    zero, so denser supports are covered).  Starts and search are bounded to
+    the box [-40, 40] that :func:`_fill_generator` clips to, so the set of W
+    searched is unchanged; the bounded line search needs no bracket, so a
+    call leaves no reference cycles behind.  Returns True when no candidate
     matches QQ' at ``MATCH_TOL`` while differing from Q by more than
     ``MIN_DIST``.  A supporting check, not a proof.
 
@@ -153,13 +157,12 @@ def verify_unique(
     A candidate key off the off-diagonal support, or a rate that is not
     finite and positive, is a :class:`DataError`.
     """
-    if not candidates:
-        report = check_identifiable(Q)
-        if report.classification != IDENTIFIABLE:
-            raise DataError(
-                f"verify_unique requires an IdentifiableByTheorem generator, got "
-                f"{report.classification}"
-            )
+    report = check_identifiable(Q)
+    if not candidates and report.classification != IDENTIFIABLE:
+        raise DataError(
+            f"verify_unique requires an IdentifiableByTheorem generator, got "
+            f"{report.classification}"
+        )
     m = Q.dim
     q_dense = Q.dense()
     target = q_dense @ q_dense.T
@@ -196,19 +199,12 @@ def verify_unique(
     for _ in range(trials):
         starts.append(rng.normal(base, 1.0, len(pairs)))
 
-    try:
-        for x0 in starts:
-            res = minimize(
-                objective, x0, method="Powell",
-                options={"maxfev": 4000, "xtol": 1e-12, "ftol": 1e-16},
-            )
-            if is_confounder(res.x):
-                return False
-        return True
-    finally:
-        # scipy's Powell line search recovers from each failed bracket by
-        # catching a BracketError; every caught error leaves a cycle
-        # (exception -> traceback -> frame) whose frames reach the caller's
-        # frame through f_back.  Until the cyclic collector runs, those
-        # cycles pin the caller's locals, so collect them here.
-        gc.collect()
+    for x0 in starts:
+        res = minimize(
+            objective, np.clip(x0, -40.0, 40.0), method="Powell",
+            bounds=[(-40.0, 40.0)] * len(pairs),
+            options={"maxfev": 4000, "xtol": 1e-12, "ftol": 1e-16},
+        )
+        if is_confounder(res.x):
+            return False
+    return True

@@ -173,7 +173,7 @@ class PosteriorSamples:
             col = self.draws[:, j]
             out[name] = {
                 "mean": float(col.mean()),
-                "sd": float(col.std(ddof=1)),
+                "sd": float(col.std(ddof=1)) if col.size > 1 else None,
                 "q025": float(qs[0, j]),
                 "q50": float(qs[1, j]),
                 "q975": float(qs[2, j]),

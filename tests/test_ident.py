@@ -2,6 +2,7 @@
 
 import gc
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -54,6 +55,13 @@ class TestClassification:
         # documented edge case: the 2-cycle's reversal is itself
         Q = generator_from_rates(2, {(0, 1): 1.0, (1, 0): 2.0})
         assert check_identifiable(Q).classification == LOOP
+
+    def test_one_node_is_data_error(self):
+        Q = generator_from_rates(1, {})
+        with pytest.raises(DataError, match="at least 2 nodes, got 1"):
+            check_identifiable(Q)
+        with pytest.raises(DataError, match="at least 2 nodes, got 1"):
+            verify_unique(Q, 0, 0, candidates=[{}])
 
     def test_report_serializes(self):
         rep = check_identifiable(directed_cycle([1.0, 1.0, 1.0]))
@@ -157,6 +165,42 @@ class TestVerifyUnique:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_runs_no_collection(self):
+        # the bounded line search needs no bracket, so no caught error leaves
+        # a cycle behind and the probe has nothing to collect
+        g = line_graph(4)
+        Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, 0.0, 0.0))))
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.callbacks.append(hook)
+        try:
+            assert verify_unique(Q, 2, 0)
+        finally:
+            gc.callbacks.remove(hook)
+            if was_enabled:
+                gc.enable()
+        assert started == []
+
+    def test_start_beyond_the_box_is_clipped_into_it(self):
+        # log(1e20) = 46 lies outside [-40, 40]; the start is clipped, so the
+        # result is the clipped rate's and scipy warns of no out-of-box guess
+        Q, W = construct_confounded_pair([1.0, 2.0, 3.0])
+        w = W.dense()
+        w_rates = {(i, j): -w[i, j] for i in range(3) for j in range(3)
+                   if i != j and w[i, j] != 0.0}
+        for cand, unique in ((w_rates, False), ({(1, 2): 1.0}, True)):
+            for rate in (1e20, float(np.exp(40.0))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    found = verify_unique(Q, 0, 0, candidates=[{**cand, (0, 2): rate}])
+                assert found is unique
 
 
 class TestDenseGenerator:

@@ -275,6 +275,13 @@ def test_cli_check_ident(tmp_path, cli_graph):
     )
 
 
+def test_cli_check_ident_one_node_exit_3(tmp_path, capsys):
+    nodes, edges = write_tables(tmp_path, ["0,a"], [])
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\n")
+    assert main(["check-ident", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "identifiability needs at least 2 nodes, got 1" in capsys.readouterr().err
+
+
 def test_cli_simulate_field_deterministic(tmp_path, cli_graph):
     nodes, edges = cli_graph
     cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nsigma=2.0\n")
@@ -494,6 +501,32 @@ def test_cli_fit_dic_diagnose_pipeline(tmp_path, cli_graph):
                  "--quiet"]) == 0
     report = json.loads((out_diag / "diagnostics.json").read_text())
     assert "mu" in report and "flagged" in report["mu"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summary_of_one_draw_has_null_sd():
+    s = PosteriorSamples(("mu", "beta"), [[1.5, -2.0]], [-7.25], {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = s.summary()
+    assert summary["mu"] == {"mean": 1.5, "sd": None, "q025": 1.5, "q50": 1.5, "q975": 1.5}
+    assert summary["beta"]["sd"] is None
+    json.dumps(summary, allow_nan=False)
+
+
+def test_cli_fit_keeping_one_draw_writes_valid_json(tmp_path):
+    cfg = write_cfg(tmp_path, "fixture=columbus\nmodel=spatial\niterations=11\nburnin=10\n")
+    out = tmp_path / "fit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--config", str(cfg), "--seed", "1", "--out", str(out),
+                     "--quiet"]) == 0
+    written = {name: json.loads((out / name).read_text(), parse_constant=_reject_constant)
+               for name in ("summary.json", "manifest.json")}
+    assert all(entry["sd"] is None for entry in written["summary.json"]["summary"].values())
 
 
 def test_cli_malformed_samples_exit_3(tmp_path, capsys):
