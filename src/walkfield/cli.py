@@ -6,6 +6,12 @@ writes a manifest JSON recording input hashes, the seed, the package
 version, and the wall time from reading the config to the last output.
 Errors map to exit codes: configuration 2, data 3, numerical 4.
 
+``fit`` writes ``samples.csv``, ``samples.f64`` and ``summary.json``.
+``samples.f64`` is the binary copy of the draw table that ``dic`` and
+``diagnose`` load in place of parsing ``samples.csv``, as long as it holds
+the CSV's SHA-256 (``walkfield.io.read_samples_csv``); their manifests
+record which of the two the draws came from as ``draws_from``.
+
 The commands are the rows of one table, ``COMMANDS``.  A row gives the
 config keys the command accepts, whether it loads the graph and builds
 ``Q``, whether it needs a seed, its output files and its ``run`` step,
@@ -40,6 +46,7 @@ from .infer.diagnostics import compute_dic, split_half_diagnostic
 from .infer.gaussian import fit_gaussian, gaussian_loglik_fn
 from .infer.specs import DIFFUSION, SPATIAL, GaussianModelSpec, PriorSpec
 from .io import (
+    draws_sidecar,
     load_graph,
     parse_config,
     read_data_table,
@@ -106,7 +113,7 @@ def _input_file(job, key):
     path = Path(_require(job.cfg, key, job.cfg_path))
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    job.inputs.append(path)
+    job.inputs.setdefault(path, None)
     return path
 
 
@@ -143,7 +150,7 @@ class Job:
     cfg_path: Path
     seed: int | None
     out: Path
-    inputs: list  # the files the manifest hashes
+    inputs: dict  # input file -> its SHA-256 for the manifest, None until hashed
     graph: object = None
     Q: object = None
 
@@ -294,24 +301,34 @@ def _fit(job):
             f"fit: {samples.n_draws} draws; posterior means {shown}")
 
 
+def _read_draws(job):
+    """The draws in the file config key ``samples`` names, and the manifest entry
+    saying whether they came from its sidecar; the manifest reuses the read's hash."""
+    path = _input_file(job, "samples")
+    samples = read_samples_csv(path)
+    job.inputs[path] = samples.metadata["sha256"]
+    return samples, {"draws_from": samples.metadata["draws_from"]}
+
+
 def _dic(job):
     """DIC for a finished fit: needs the fit config plus its samples.csv."""
     spec = _fit_spec(job)
-    samples = read_samples_csv(_input_file(job, "samples"))
+    samples, read = _read_draws(job)
     result = compute_dic(samples, gaussian_loglik_fn(spec))
-    return ([(write_json, result.to_dict())], None,
+    return ([(write_json, result.to_dict())], read,
             f"dic: {result.dic:.2f} (p_d {result.p_d:.2f})")
 
 
 def _diagnose(job):
     """Split-half convergence check on a samples file; flags unstable marginals."""
-    report = split_half_diagnostic(read_samples_csv(_input_file(job, "samples")))
+    samples, read = _read_draws(job)
+    report = split_half_diagnostic(samples)
     flagged = [k for k, v in report.items() if v["flagged"]]
     if flagged:
         summary = f"diagnose: {len(flagged)} flagged parameter(s): " + ", ".join(flagged[:10])
     else:
         summary = "diagnose: no flags"
-    return [(write_json, report)], None, summary
+    return [(write_json, report)], read, summary
 
 
 COMMANDS = {
@@ -326,7 +343,8 @@ COMMANDS = {
                                    seeded=lambda cfg: not _as_bool(cfg, "ode")),
     "convergence": Command(_convergence, POPULATION_KEYS + ("N_list", "replicates"),
                            ("convergence.json",), graph=True, seeded=True),
-    "fit": Command(_fit, FIT_KEYS, ("samples.csv", "summary.json"), seeded=True),
+    "fit": Command(_fit, FIT_KEYS, (("samples.csv", draws_sidecar("samples.csv").name),
+                                    "summary.json"), seeded=True),
     "dic": Command(_dic, FIT_KEYS + ("samples",), ("dic.json",)),
     "diagnose": Command(_diagnose, ("samples",), ("diagnostics.json",)),
 }
@@ -340,7 +358,7 @@ def _execute(args):
     cfg = parse_config(cfg_path, cmd.keys)
     seeded = cmd.seeded(cfg) if callable(cmd.seeded) else cmd.seeded
     job = Job(cfg, cfg_path, _seed_of(args, cfg) if seeded else None,
-              args.out or Path("."), [cfg_path])
+              args.out or Path("."), {cfg_path: None})
     if cmd.graph:
         job.graph = _load_cfg_graph(job)
         job.Q = RateModel(job.graph).generator([_get(cfg, key, default=0.0) for key in RATE_KEYS])

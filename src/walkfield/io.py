@@ -6,7 +6,9 @@ through ``read_node_table``, the one place that states the node-id rule.
 
 All CSV output is comma-separated UTF-8 with mandatory headers and '.'
 decimal separator; floats are written with repr so that identical inputs
-produce byte-identical files.
+produce byte-identical files.  A samples CSV also gets a binary copy of its
+table, the sidecar named by ``draws_sidecar``, which ``read_samples_csv``
+loads in place of the parse while the CSV is unchanged.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import hashlib
 import json
 import time
 import warnings
+from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -166,16 +170,22 @@ def write_graph(graph: SpatialGraph, nodes_path, edges_path):
             w.writerow(row)
 
 
-def _write_float_rows(path, header, rows):
+def _write_float_rows(path, header, rows) -> bytes:
     """CSV with a header and one line per row; floats written with repr.
 
     The lines match ``csv.writer`` over ``repr(float(v))`` cells: no float
-    repr holds a delimiter or quote, so no cell needs quoting.
+    repr holds a delimiter or quote, so no cell needs quoting.  Returns the
+    SHA-256 digest of the bytes written.
     """
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerow(header)
-        for row in rows:
-            f.write(",".join(map(repr, row)) + "\r\n")
+    head = StringIO()
+    csv.writer(head).writerow(header)
+    h = hashlib.sha256()
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        lines = (",".join(map(repr, row)) + "\r\n" for row in rows)
+        for line in chain([head.getvalue()], lines):
+            f.write(line)
+            h.update(line.encode())
+    return h.digest()
 
 
 def write_trajectory_csv(traj, path):
@@ -192,18 +202,57 @@ def write_field_csv(pi, path):
     _write_float_rows(path, ["node_id", "value"], enumerate(values))
 
 
-def write_samples_csv(samples: PosteriorSamples, path):
-    """Posterior draws to CSV, one column per parameter plus log_likelihood."""
-    _write_float_rows(path, list(samples.names) + ["log_likelihood"],
-                      np.column_stack([samples.draws, samples.loglik]).tolist())
+def draws_sidecar(path) -> Path:
+    """The sidecar of a samples CSV: its path with the suffix ``.f64``.
+
+    ``samples.csv`` has the sidecar ``samples.f64``.  The sidecar holds the
+    SHA-256 digest of the CSV's bytes (32 bytes), the table's row count
+    (little-endian uint64), then the table as little-endian float64, row
+    after row.
+    """
+    return Path(path).with_suffix(".f64")
+
+
+def write_samples_csv(samples: PosteriorSamples, path, sidecar=None):
+    """Posterior draws to CSV, one column per parameter plus log_likelihood.
+
+    The table also goes to ``sidecar``, by default ``draws_sidecar(path)``,
+    the one place ``read_samples_csv`` looks for it.
+    """
+    table = np.column_stack([samples.draws, samples.loglik])
+    digest = _write_float_rows(path, list(samples.names) + ["log_likelihood"], table.tolist())
+    with open(sidecar or draws_sidecar(path), "wb") as f:
+        f.write(digest + len(table).to_bytes(8, "little"))
+        table.astype("<f8", copy=False).tofile(f)
+
+
+def _read_sidecar(path, digest, cols):
+    """The table in the sidecar at ``path`` if the sidecar starts with
+    ``digest`` and holds a whole table of its stated row count by ``cols``
+    columns; otherwise None."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(40)
+            if len(head) != 40 or head[:32] != digest:
+                return None
+            rows = int.from_bytes(head[32:], "little")
+            table = np.fromfile(f, "<f8")
+    except OSError:
+        return None
+    return table.reshape(rows, cols) if table.size == rows * cols else None
 
 
 def read_samples_csv(path) -> PosteriorSamples:
     """Posterior draws from a CSV written by ``write_samples_csv``.
 
-    The metadata record the source path.  A missing or malformed header,
-    a column name given twice, a cell that is not a number or not finite,
-    or a ragged row raises ``DataError`` naming the file.
+    When the sidecar ``draws_sidecar(path)`` starts with this CSV's SHA-256
+    and holds a whole table as wide as the CSV's header, the table comes
+    from the sidecar: repr round-trips every float64, so that table is the
+    parse's, bit for bit.  Otherwise the CSV is parsed.  The metadata record the source
+    path, its SHA-256 (hex) and ``draws_from``, "sidecar" or "csv".  A
+    missing or malformed header, a column name given twice, a cell that is
+    not a number or not finite, or a ragged row raises ``DataError`` naming
+    the file.
     """
     with open(path, newline="") as f, _csv_errors(path, csv.DictReader(f)) as reader:
         header = reader.fieldnames
@@ -214,19 +263,25 @@ def read_samples_csv(path) -> PosteriorSamples:
         if name in seen:
             raise DataError(f"{path}: duplicate column {name!r}")
         seen.add(name)
-    try:
-        with warnings.catch_warnings():
-            # a header-only file is reported as "no draws" below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed draws ({exc})") from None
+    sha256 = file_sha256(path)
+    data = _read_sidecar(draws_sidecar(path), bytes.fromhex(sha256), len(header))
+    draws_from = "sidecar"
+    if data is None:
+        draws_from = "csv"
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported as "no draws" below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed draws ({exc})") from None
     if data.size == 0:
         raise DataError(f"{path}: no draws")
     try:
         return PosteriorSamples(
-            tuple(header[:-1]), data[:, :-1], data[:, -1], {"source": str(path)}
+            tuple(header[:-1]), data[:, :-1], data[:, -1],
+            {"source": str(path), "sha256": sha256, "draws_from": draws_from},
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
@@ -239,9 +294,10 @@ def write_json(obj, path):
 
 
 def file_sha256(path) -> str:
+    """SHA-256 (hex) of a file's bytes, read in 1 MiB chunks."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
+        for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -249,14 +305,16 @@ def file_sha256(path) -> str:
 def write_manifest(path, command, inputs, seed, started, outputs, extra=None):
     """Run manifest: hashed inputs, seed, version, wall time, output list.
 
-    ``extra`` adds command-specific entries, such as a simulator's event count.
+    ``inputs`` maps each input file to its SHA-256 (hex), or to None for a
+    file not hashed yet, which is hashed here.  ``extra`` adds
+    command-specific entries, such as a simulator's event count.
     """
     from . import __version__
 
     write_json(
         {
             "command": command,
-            "inputs": {str(p): file_sha256(p) for p in inputs},
+            "inputs": {str(p): digest or file_sha256(p) for p, digest in inputs.items()},
             "outputs": [str(p) for p in outputs],
             "seed": seed,
             "version": __version__,

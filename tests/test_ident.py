@@ -146,9 +146,8 @@ class TestVerifyUnique:
             verify_unique(Q, trials=1, seed=0)
 
     def test_does_not_pin_callers_locals(self):
-        # scipy's Powell line search leaves exception -> traceback -> frame
-        # cycles behind; their frames reach the caller's frame, so without a
-        # collection they keep the caller's arrays alive after it returns
+        # with the collector off, the caller's arrays must be freed as soon as
+        # it returns: the probe leaves no reference cycle that reaches its frame
         g = line_graph(4)
         Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, 0.0, 0.0))))
 

@@ -17,6 +17,7 @@ from walkfield.datasets import columbus_fixture
 from walkfield.errors import ConfigError, DataError
 from walkfield.infer import PosteriorSamples
 from walkfield.io import (
+    draws_sidecar,
     file_sha256,
     load_graph,
     parse_config,
@@ -193,6 +194,131 @@ def test_writers_match_csv_reference_on_extreme_values(tmp_path):
     write_field_csv(block[:, 2], path)
     assert path.read_bytes() == _csv_reference(
         ["node_id", "value"], [[i, v] for i, v in enumerate(block[:, 2])])
+
+
+def _parsed(path):
+    """``read_samples_csv(path)`` with the sidecar moved away: the CSV parse."""
+    sidecar = draws_sidecar(path)
+    away = sidecar.with_name(sidecar.name + ".away")
+    if sidecar.exists():
+        sidecar.rename(away)
+    try:
+        return read_samples_csv(path)
+    finally:
+        if away.exists():
+            away.rename(sidecar)
+
+
+def _assert_bitwise(a, b):
+    assert a.names == b.names
+    assert a.draws.shape == b.draws.shape and a.draws.tobytes() == b.draws.tobytes()
+    assert a.loglik.shape == b.loglik.shape and a.loglik.tobytes() == b.loglik.tobytes()
+
+
+def _random_table(seed, rows, cols):
+    """Finite float64s across the whole range: every magnitude from subnormal
+    to 1e300, and the cells -0.0, 0.0, 5e-324, 1e300 and -1e300."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 300, size=(rows, cols))
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308])
+    at = rng.choice(table.size, size=min(table.size, special.size), replace=False)
+    table.flat[at] = special[:at.size]
+    return table
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 2), (1, 9), (40, 3), (300, 12)])
+def test_sidecar_hit_is_the_parse_bit_for_bit(tmp_path, rows, cols):
+    table = _random_table(rows * cols, rows, cols)
+    s = PosteriorSamples(tuple(f"p{j}" for j in range(cols - 1)), table[:, :-1],
+                         table[:, -1], {})
+    path = tmp_path / "samples.csv"
+    write_samples_csv(s, path)
+    got = read_samples_csv(path)
+    assert got.metadata == {"source": str(path), "sha256": file_sha256(path),
+                            "draws_from": "sidecar"}
+    parsed = _parsed(path)
+    assert parsed.metadata == {**got.metadata, "draws_from": "csv"}
+    _assert_bitwise(got, parsed)
+    _assert_bitwise(got, s)
+    assert got.draws.flags.writeable and got.draws.dtype == parsed.draws.dtype
+
+
+def test_sidecar_layout_is_digest_row_count_then_little_endian_rows(tmp_path):
+    table = _random_table(3, 5, 4)
+    s = PosteriorSamples(("mu", "beta", "sigma"), table[:, :3], table[:, 3], {})
+    path = tmp_path / "draws.csv"
+    write_samples_csv(s, path)
+    assert draws_sidecar(path) == tmp_path / "draws.f64"
+    blob = draws_sidecar(path).read_bytes()
+    assert blob[:32].hex() == file_sha256(path)
+    assert blob[32:40] == (5).to_bytes(8, "little")
+    assert blob[40:] == table.astype("<f8").tobytes()
+
+
+def _edit_cell(path, sidecar):
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[2].split(b",")
+    cells[1] = repr(float(cells[1]) + 1.0).encode()
+    lines[2] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _truncate_row(path, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:-8 * 4])
+
+
+def _truncate_bytes(path, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:-3])
+
+
+def _extra_row(path, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes() + np.zeros(4, "<f8").tobytes())
+
+
+def _digest_only(path, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:32])
+
+
+def _no_table(path, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:40])
+
+
+def _fewer_rows_stated(path, sidecar):
+    blob = sidecar.read_bytes()
+    sidecar.write_bytes(blob[:32] + (5).to_bytes(8, "little") + blob[40:])
+
+
+def _other_fit(path, sidecar):
+    other = path.with_name("other.csv")
+    write_samples_csv(PosteriorSamples(("mu", "beta", "sigma"), np.ones((6, 3)), np.ones(6),
+                                       {}), other)
+    draws_sidecar(other).replace(sidecar)
+
+
+@pytest.mark.parametrize("edit", [_edit_cell, _truncate_row, _truncate_bytes, _extra_row,
+                                  _digest_only, _no_table, _fewer_rows_stated, _other_fit],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_sidecar_that_does_not_match_is_a_miss(tmp_path, edit):
+    table = _random_table(5, 6, 4)
+    path = tmp_path / "samples.csv"
+    write_samples_csv(PosteriorSamples(("mu", "beta", "sigma"), table[:, :3], table[:, 3], {}),
+                      path)
+    edit(path, draws_sidecar(path))
+    assert draws_sidecar(path).exists()
+    got = read_samples_csv(path)
+    assert got.metadata["draws_from"] == "csv"
+    assert got.metadata["sha256"] == file_sha256(path)
+    _assert_bitwise(got, _parsed(path))
+
+
+def test_sidecar_of_a_malformed_csv_keeps_the_parse_error(tmp_path):
+    s = PosteriorSamples(("mu", "beta"), [[1.0, 2.0]], [-3.0], {})
+    path = tmp_path / "samples.csv"
+    write_samples_csv(s, path)
+    path.write_text("mu,beta,log_likelihood\r\n1.0,oops,-3.0\r\n")
+    with pytest.raises(DataError, match="could not convert") as err:
+        read_samples_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_parse_config_basics(tmp_path):
@@ -547,11 +673,30 @@ def test_read_samples_duplicate_column_is_data_error(tmp_path):
     assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("edit, commands, match", [
+EDITED_COLUMNS = pytest.mark.parametrize("edit, commands, match", [
     ("drop", ["dic"], r"no draws of model parameter 'eta_48'"),
     ("rename", ["dic", "diagnose"], r"duplicate column 'eta_48'"),
 ], ids=["eta_48-dropped", "eta_47-renamed-eta_48"])
+
+
+@EDITED_COLUMNS
 def test_cli_dic_samples_without_a_parameter_exit_3(tmp_path, capsys, edit, commands, match):
+    _run_on_edited_columbus_samples(tmp_path, capsys, edit, commands, match,
+                                    tmp_path / "samples.csv")
+
+
+@EDITED_COLUMNS
+def test_cli_samples_edited_beside_their_sidecar_exit_3(tmp_path, capsys, edit, commands,
+                                                        match):
+    # the sidecar still holds the fit's table, which has every column
+    _run_on_edited_columbus_samples(tmp_path, capsys, edit, commands, match,
+                                    tmp_path / "fit" / "samples.csv")
+    assert (tmp_path / "fit" / "samples.f64").is_file()
+
+
+def _run_on_edited_columbus_samples(tmp_path, capsys, edit, commands, match, samples):
+    """Fit Columbus into tmp_path/fit, write its samples.csv with a column dropped or
+    renamed to ``samples``, and run each of ``commands`` on that file."""
     fit = "fixture=columbus\nmodel=spatial\niterations=150\nburnin=20\n"
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(write_cfg(tmp_path, fit, name="fit.cfg")),
@@ -562,7 +707,6 @@ def test_cli_dic_samples_without_a_parameter_exit_3(tmp_path, capsys, edit, comm
         rows = [r[:j] + r[j + 1:] for r in rows]
     else:
         rows[0][rows[0].index("eta_47")] = "eta_48"
-    samples = tmp_path / "samples.csv"
     samples.write_text("".join(",".join(r) + "\r\n" for r in rows))
     for command in commands:
         text = (fit if command == "dic" else "") + f"samples={samples}\n"
@@ -572,6 +716,47 @@ def test_cli_dic_samples_without_a_parameter_exit_3(tmp_path, capsys, edit, comm
         err = capsys.readouterr().err
         assert re.search(match, err) and str(samples) in err and "Traceback" not in err
         assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+def test_cli_sidecar_is_byte_identical_across_reruns_and_equals_the_parse(tmp_path, thin):
+    fit = write_cfg(tmp_path, f"fixture=columbus\nmodel=diffusion\niterations=200\n"
+                              f"burnin=20\nthin={thin}\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["fit", "--config", str(fit), "--seed", "6", "--out", str(out),
+                     "--quiet"]) == 0
+    blob = (outs[0] / "samples.f64").read_bytes()
+    assert blob == (outs[1] / "samples.f64").read_bytes()
+    header = (outs[0] / "samples.csv").read_text().splitlines()[0].split(",")
+    assert len(blob) == 40 + 8 * len(header) * (180 // thin)
+    got = read_samples_csv(outs[0] / "samples.csv")
+    assert got.metadata["draws_from"] == "sidecar"
+    _assert_bitwise(got, _parsed(outs[0] / "samples.csv"))
+
+
+def test_cli_dic_and_diagnose_agree_with_and_without_the_sidecar(tmp_path):
+    fit = "fixture=columbus\nmodel=spatial\niterations=420\nburnin=20\nthin=2\n"
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(write_cfg(tmp_path, fit, name="fit.cfg")),
+                 "--seed", "3", "--out", str(out), "--quiet"]) == 0
+    samples = out / "samples.csv"
+    configs = {"dic": fit + f"samples={samples}\n", "diagnose": f"samples={samples}\n"}
+    written = {}
+    for run in ("sidecar", "csv"):
+        if run == "csv":
+            (out / "samples.f64").unlink()
+        for command, text in configs.items():
+            cfg = write_cfg(tmp_path, text, name=f"{command}.cfg")
+            dest = tmp_path / f"{command}-{run}"
+            assert main([command, "--config", str(cfg), "--out", str(dest), "--quiet"]) == 0
+            manifest = json.loads((dest / "manifest.json").read_text())
+            assert manifest["draws_from"] == run
+            assert manifest["inputs"][str(samples)] == file_sha256(samples)
+            written[command, run] = [(dest / p).read_bytes() for p in
+                                     ("dic.json", "diagnostics.json") if (dest / p).exists()]
+    for command in configs:
+        assert written[command, "sidecar"] == written[command, "csv"] != []
 
 
 FIT_DATA = "node_id,y,h\n0,1.0,0.5\n1,2.0,-0.1\n2,0.5,0.3\n3,1.5,-0.7\n"
@@ -803,14 +988,15 @@ def test_cli_commands_pin_manifest_and_stdout(tmp_path, cli_graph, capsys):
          lambda out: [f"convergence: N={n} median sup-norm gap "
                       f"{read(out, 'convergence.json')[str(n)]:.4g}" for n in (50, 200)]),
         ("fit", "fit", fit, ["--seed", "3"], [nodes, edges, data],
-         ["samples.csv", "summary.json"], 3, set(), fit_line),
+         ["samples.csv", "samples.f64", "summary.json"], 3, set(), fit_line),
         ("fixture", "fit", "fixture=columbus\nmodel=diffusion\niterations=60\nburnin=10\n",
-         ["--seed", "4"], [], ["samples.csv", "summary.json"], 4, set(), fit_line),
+         ["--seed", "4"], [], ["samples.csv", "samples.f64", "summary.json"], 4, set(),
+         fit_line),
         ("dic", "dic", fit + f"samples={samples}\nseed=9\n", ["--seed", "5"],
-         [nodes, edges, data, samples], ["dic.json"], None, set(),
+         [nodes, edges, data, samples], ["dic.json"], None, {"draws_from"},
          lambda out: ["dic: {dic:.2f} (p_d {p_d:.2f})".format(**read(out, "dic.json"))]),
         ("diagnose", "diagnose", f"samples={samples}\n", [], [samples],
-         ["diagnostics.json"], None, set(), diagnose_line),
+         ["diagnostics.json"], None, {"draws_from"}, diagnose_line),
     ]
     for run, command, text, flags, inputs, outputs, seed, extra, lines in runs:
         cfg = write_cfg(tmp_path, text, name=f"{run}.cfg")
@@ -828,9 +1014,10 @@ def test_cli_commands_pin_manifest_and_stdout(tmp_path, cli_graph, capsys):
             assert manifest["command"] == command
             # written with sorted keys, so the file lists the inputs by path
             assert list(manifest["inputs"]) == sorted(str(p) for p in inputs + [cfg])
-            assert manifest["inputs"][str(cfg)] == file_sha256(cfg)
+            assert manifest["inputs"] == {str(p): file_sha256(p) for p in inputs + [cfg]}
             assert manifest["outputs"] == [str(out / name) for name in outputs], run
             assert manifest["seed"] == seed, run
+            assert manifest.get("draws_from", "sidecar") == "sidecar", run
         for key in ("inputs", "seed", "version", *extra):
             assert manifests[0][key] == manifests[1][key], (run, key)
         for name in outputs:
