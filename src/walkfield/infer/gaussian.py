@@ -1,4 +1,4 @@
-"""Gibbs/Metropolis sampler for the Gaussian response models.
+"""Gibbs sampler for the Gaussian response models.
 
 Model: c = mu*1 + beta*x + sigma*eta + eps, eps ~ N(0, tau^2 I), with eta
 an intrinsic field (precision QQ', sum-zero) on the neighborhood graph.
@@ -9,16 +9,16 @@ The sampler works in the eigenbasis of F'QQ'F, the precision restricted to
 the sum-zero subspace spanned by the orthonormal columns of F, so
 constrained sampling of eta reduces to independent Gaussian draws on M-1
 coordinates.  (QQ' itself annihilates the stationary law of the walk, which
-is the constant vector only for balanced rates.)  Conjugate Gibbs updates
-for (mu, beta), tau^2, and eta; adaptive random-walk Metropolis on log
-sigma (half-normal prior breaks conjugacy), with adaptation frozen when
-burn-in ends so the retained chain preserves detailed balance.
+is the constant vector only for balanced rates.)  Every update is an exact
+draw from its full conditional, in the order (mu, beta), eta, sigma, tau^2.
+sigma enters the mean linearly and its half-normal prior is a normal
+truncated at zero, so its conditional is a normal truncated to sigma > 0.
 
-Each sweep draws its standard normals as one block of M+1: two for
-(mu, beta), whose 2x2 posterior precision is factored in closed form, and
-M-1 for the eta coordinates.  The residual c - mu - beta*x is formed once
-per sweep and serves the eta projection, the tau^2 rate, both sigma
-log-densities and the retained log-likelihood.
+Each sweep draws the normals of (mu, beta) and eta as one block of M+1:
+two for (mu, beta), whose 2x2 posterior precision is factored in closed
+form, and M-1 for the eta coordinates.  The residual c - mu - beta*x is
+formed once per sweep for eta and sigma; less sigma*eta, it serves the
+tau^2 rate and the retained log-likelihood.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from ..graph import GeneratorMatrix, RateModel, check_irreducible
 # build_generator and edge_rates_loglinear are no longer called here; they
 # stay importable under this module, where bench/spans.py wraps them
 from ..graph import build_generator, edge_rates_loglinear  # noqa: F401
+from .genetics import _robert_tail
 from .specs import DIFFUSION, GaussianModelSpec, PosteriorSamples, chain_length
-
-SIGMA_TARGET_ACC = 0.44
 
 
 def graph_generator(graph) -> GeneratorMatrix:
@@ -61,6 +60,20 @@ def _design_column(spec: GaussianModelSpec, Q: GeneratorMatrix) -> np.ndarray:
         # comparable with the unsmoothed regression coefficient.
         x = smooth_covariate(Q, x)
     return x
+
+
+def _positive_normal(rng, mean, sd):
+    """N(mean, sd^2) truncated to (0, inf): mean + sd*x, x ~ N(0, 1) beyond
+    a = -mean/sd, by rejection when a < 0 (acceptance at least 1/2) and by
+    Robert's tail sampler when a >= 0."""
+    a = -mean / sd
+    if a < 0.0:
+        x = rng.standard_normal()
+        while x <= a:
+            x = rng.standard_normal()
+    else:
+        x = _robert_tail(rng, a)
+    return mean + sd * x
 
 
 def gaussian_loglik_fn(spec: GaussianModelSpec):
@@ -98,8 +111,8 @@ def fit_gaussian(
 
     ``include_likelihood=False`` disables the data terms in every update,
     turning the sweep into a prior sampler (used by the Gibbs audit).
-    The metadata records the sigma acceptance rate and ``sigma_step``, the
-    random-walk step on log sigma, which stops adapting when burn-in ends.
+    The metadata records the seed, the chain lengths, the variant and
+    ``include_likelihood``.
     A (mu, beta) posterior precision that fails to factor raises
     ``NumericalError``.
     """
@@ -131,8 +144,8 @@ def fit_gaussian(
     sigma = 1.0
     eta = np.zeros(m)
 
-    log_step = math.log(0.5)
     prior_prec_reg = 1.0 / pr.regression_sd**2
+    prior_prec_sigma = 1.0 / pr.re_sd_scale**2
     # X'X = [[m, sx], [sx, sxx]] in the (mu, beta) update
     sx = float(x.sum())
     sxx = float(x @ x)
@@ -140,12 +153,7 @@ def fit_gaussian(
     names = ["mu", "beta", "sigma", "tau"] + [f"eta_{i}" for i in range(m)]
     draws = np.empty((n_keep, len(names)))
     logliks = np.empty(n_keep)
-    acc_count = 0
-    sigma_tries = 0
     kept = 0
-
-    def half_normal_logpdf(s):
-        return -0.5 * s * s / pr.re_sd_scale**2
 
     for it in range(iterations):
         # one block of noise: 2 for (mu, beta), then m-1 for the eta coordinates
@@ -177,7 +185,14 @@ def fit_gaussian(
         proj = Ut @ base
         prec_w = d_pos + like * sigma * sigma / tau2
         mean_w = like * (sigma / tau2) * proj / prec_w
-        eta = U @ (mean_w + z[2:] / np.sqrt(prec_w))
+        w = mean_w + z[2:] / np.sqrt(prec_w)
+        eta = U @ w
+
+        # sigma: normal truncated to sigma > 0; U has orthonormal columns,
+        # so eta'eta = w'w and eta'base = w'proj
+        prec_s = like * float(w @ w) / tau2 + prior_prec_sigma
+        sigma = _positive_normal(rng, like * float(w @ proj) / tau2 / prec_s,
+                                 1.0 / math.sqrt(prec_s))
 
         # tau2: conjugate inverse-gamma
         r_cur = base - sigma * eta
@@ -191,25 +206,6 @@ def fit_gaussian(
                 "shapes this small are only reachable in prior-only runs"
             )
         tau2 = 1.0 / gdraw
-
-        # sigma: random-walk Metropolis on log sigma (Jacobian included)
-        sigma_tries += 1
-        prop = sigma * math.exp(math.exp(log_step) * rng.standard_normal())
-        r_prop = base - prop * eta
-        rr_prop = float(r_prop @ r_prop)
-        logp_cur = (-0.5 * like * rr_cur / tau2
-                    + half_normal_logpdf(sigma) + math.log(sigma))
-        logp_prop = (-0.5 * like * rr_prop / tau2
-                     + half_normal_logpdf(prop) + math.log(prop))
-        accept = math.log(rng.random()) < logp_prop - logp_cur
-        if accept:
-            sigma = prop
-            rr_cur = rr_prop
-            acc_count += 1
-        if it < burnin:
-            # Robbins-Monro adaptation toward the scalar-update target rate
-            gain = 1.0 / math.sqrt(it + 1.0)
-            log_step += gain * ((1.0 if accept else 0.0) - SIGMA_TARGET_ACC)
 
         if it >= burnin and (it - burnin) % thin == 0:
             draws[kept, 0] = mu
@@ -227,8 +223,6 @@ def fit_gaussian(
         "burnin": burnin,
         "thin": thin,
         "variant": spec.variant,
-        "acceptance": {"sigma": acc_count / max(sigma_tries, 1)},
-        "sigma_step": math.exp(log_step),
         "include_likelihood": include_likelihood,
     }
     return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)

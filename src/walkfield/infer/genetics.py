@@ -117,7 +117,9 @@ def _central_trunc(a, u):
 
 
 def _robert_tail(rng, a):
-    # translated-exponential proposal with the optimal rate
+    # N(0, 1) beyond a, exact for every a >= 0: translated-exponential proposal
+    # at the optimal rate (Robert 1995); used by the latent sweep past _TAIL
+    # and by fit_gaussian's sigma draw
     lam = 0.5 * (a + math.sqrt(a * a + 4.0))
     while True:
         x = a + rng.exponential(1.0 / lam)

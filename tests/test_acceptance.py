@@ -59,7 +59,7 @@ def rand_generator(rng, m, lo=0.5, hi=2.0, extra_p=0.3):
 
 # --- 1. Columbus crime fits vs the exact posterior ----------------------
 #
-# The six posterior-mean cases compare the chain against the exact
+# The eight posterior-mean cases compare the chain against the exact
 # posterior of the model that walkfield.infer.gaussian documents:
 # c = mu + beta*x + sigma*eta + eps, eta ~ N(0, (QQ')^+) on the sum-zero
 # subspace, eps ~ N(0, tau^2 I), with the PriorSpec defaults.  Columbus
@@ -74,15 +74,17 @@ def rand_generator(rng, m, lo=0.5, hi=2.0, extra_p=0.3):
 #
 # Measured at this seed and length (chain +/- batch-means SE, 100 batches):
 #
-#   quantity        chain               exact     REF
-#   spatial mu      35.117 +/- 0.006    35.123    35.12
-#   spatial beta    -8.658 +/- 0.028    -8.644    -9.28
-#   spatial tau      8.736 +/- 0.059     8.727    10.75
-#   diffusion mu    35.114 +/- 0.007    35.120    35.13
-#   diffusion beta -15.319 +/- 0.177   -15.011    -9.38
-#   diffusion tau   10.749 +/- 0.040    10.795    11.51
+#   quantity         chain               exact     REF
+#   spatial mu       35.123 +/- 0.006    35.123    35.12
+#   spatial beta     -8.661 +/- 0.021    -8.644    -9.28
+#   spatial sigma    20.044 +/- 0.209    19.856
+#   spatial tau       8.697 +/- 0.043     8.727    10.75
+#   diffusion mu     35.127 +/- 0.007    35.120    35.13
+#   diffusion beta  -14.983 +/- 0.133   -15.011    -9.38
+#   diffusion sigma  17.392 +/- 0.174    17.286
+#   diffusion tau    10.778 +/- 0.030    10.795    11.51
 #
-# Every gap between chain and exact is within 1.8 SE.  The exact tau
+# Every gap between chain and exact is within 1.1 SE.  The exact tau
 # marginal has a plateau towards tau -> 0 (0.35% of the spatial mass lies
 # below tau = 1); a grid that starts at 0.5 drops it, reads 8.747 and
 # -15.028, and fails the boundary check.
@@ -95,7 +97,7 @@ def rand_generator(rng, m, lo=0.5, hi=2.0, extra_p=0.3):
 # external values.
 #
 # The DIC-ordering assert is kept as written and fails: under the
-# documented model DIC(spatial) = 363.5 < DIC(diffusion) = 383.1.  This is
+# documented model DIC(spatial) = 362.8 < DIC(diffusion) = 383.1.  This is
 # not a sampler or DIC artefact: the chain matches the exact posterior,
 # DIC with eta integrated out still prefers spatial (387.7 vs 398.9), and
 # plugging in the posterior-mean linear predictor moves either DIC by at
@@ -186,13 +188,15 @@ def columbus_fits():
 
 
 @pytest.mark.parametrize("model", ["spatial", "diffusion"])
-@pytest.mark.parametrize("param", ["mu", "beta", "tau"])
+@pytest.mark.parametrize("param", ["mu", "beta", "sigma", "tau"])
 def test_columbus_posterior_means(columbus_fits, model, param):
     samples, _, exact = columbus_fits[model]
     got = float(samples.column(param).mean())
+    # the published analysis gave no sigma
+    published = REF[model].get(param, "not given")
     assert got == pytest.approx(exact[param], abs=REF_TOL), (
         f"{model} {param}: chain mean {got:.2f} vs exact posterior mean "
-        f"{exact[param]:.2f} +/- {REF_TOL} (published {REF[model][param]})"
+        f"{exact[param]:.2f} +/- {REF_TOL} (published {published})"
     )
 
 
@@ -380,6 +384,10 @@ def test_gaussian_sweep_prior_audit():
     hn_mean = 100.0 * math.sqrt(2.0 / math.pi)
     hn_sd = 100.0 * math.sqrt(1.0 - 2.0 / math.pi)
     assert abs(sig.mean() - hn_mean) < 3.0 * hn_sd / math.sqrt(n)
+    # the sigma draws are iid here: the sample variance has sd
+    # sqrt((mu4 - sd^4) / n), mu4 the half-normal's fourth central moment
+    mu4 = 100.0**4 * (3.0 - 4.0 / math.pi - 12.0 / math.pi**2)
+    assert abs(sig.var(ddof=1) - hn_sd**2) < 3.0 * math.sqrt((mu4 - hn_sd**4) / n)
     tau2 = s.column("tau") ** 2
     # IG(3, 4): mean 2, variance 4; the variance estimator of a heavy-tailed
     # draw is noisy, so bound it with its own batch-means error

@@ -56,3 +56,25 @@ def test_build_and_check_ident_load_no_csgraph(tmp_path):
     assert out.split() == ["0", "0", "False"]
     assert (tmp_path / "build" / "generator.json").is_file()
     assert (tmp_path / "check-ident" / "identifiability.json").is_file()
+
+
+def test_fit_loads_no_scipy_special(tmp_path):
+    # the exact sigma draw takes Robert's tail sampler, not ndtr/ndtri, so a
+    # Gaussian fit never pays for importing scipy.special
+    cfgs = []
+    for model in ("spatial", "diffusion"):
+        cfg = tmp_path / f"{model}.cfg"
+        cfg.write_text(f"fixture=columbus\nmodel={model}\niterations=200\nburnin=50\n")
+        cfgs.append((str(cfg), str(tmp_path / model)))
+    code = (
+        "import sys\nfrom walkfield.cli import main\n"
+        f"for cfg, out in {cfgs!r}:\n"
+        "    print(main(['fit', '--config', cfg, '--seed', '1', '--out', out, '--quiet']))\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+                         timeout=120).stdout
+    assert out.split() == ["0", "0", "False"]
+    for model in ("spatial", "diffusion"):
+        assert (tmp_path / model / "summary.json").is_file()
