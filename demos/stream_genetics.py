@@ -6,7 +6,7 @@ two seasonal barriers), with movement rates that favor downstream steps
 and penalize barrier crossings, then recovers the rate coefficients by
 MCMC with the spatial fields integrated out of the coefficient update.
 
-Run from the repository root (takes a minute or two):
+Run from the repository root (about 6 s on one core):
 
     python demos/stream_genetics.py
 """

@@ -138,8 +138,8 @@ class IntrinsicField:
     _factor: _GroundedLU = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DataError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DataError("sigma must be positive and finite")
         factor = _GroundedLU(self.Q.matrix.T)
         object.__setattr__(self, "logpdet", 2.0 * factor.logdet)
         object.__setattr__(self, "_factor", factor)

@@ -69,43 +69,27 @@ _TAIL = 6.0
 def truncated_normal(rng, mean, lower=None, upper=None):
     """Vectorized N(mean, 1) draws truncated to (lower, upper) one side at a time.
 
-    Inverse-CDF in the central regime; for truncation points deeper than
-    6 sd the conditional distribution is essentially the exponential tail,
-    sampled by Robert's rejection method for accuracy.
+    The latent sweep's rule, with the one bound taken with a sign as the
+    sweep takes a loser's: one uniform per entry, in order, for the
+    inverse-CDF draws, then Robert's exact tail sampler, in order, for the
+    entries truncated ``_TAIL`` sd or more deep, whose uniforms go unused.
+    The law is the same truncated normal as the inverse CDF alone would give.
     """
     mean = np.asarray(mean, dtype=float)
     if (lower is None) == (upper is None):
         raise ValueError("exactly one of lower/upper must be given")
-    if lower is not None:
-        a = _gap(lower, mean)
-        return mean + _std_lower_trunc(rng, a.ravel()).reshape(mean.shape)
-    b = _gap(upper, mean)
-    return mean - _std_lower_trunc(rng, (-b).ravel()).reshape(mean.shape)
+    sign = 1.0 if upper is None else -1.0
+    bound = lower if upper is None else upper
+    a = sign * (np.asarray(bound, dtype=float) - mean).ravel()
+    x = _beyond(rng, a, rng.random(a.size))
+    x *= sign
+    return mean + x.reshape(mean.shape)
 
 
-def _gap(bound, mean):
-    d = np.asarray(bound, dtype=float) - mean
-    return d if d.shape == mean.shape else np.broadcast_to(d, mean.shape)
-
-
-def _std_lower_trunc(rng, a):
-    """Standard normal conditioned on exceeding a (vector), seedable and exact.
-
-    The central entries take one uniform each, in order, then the tail
-    entries run Robert's sampler in order.
-    """
-    if np.maximum.reduce(a, initial=-np.inf) < _TAIL:
-        return _central_trunc(a, rng.random(a.size))
-    central = a < _TAIL
-    out = np.empty_like(a)
-    out[central] = _central_trunc(a[central], rng.random(np.count_nonzero(central)))
-    for i in np.flatnonzero(~central):
-        out[i] = _robert_tail(rng, a[i])
-    return out
-
-
-def _central_trunc(a, u):
-    """Inverse-CDF draws beyond a from the uniforms u, which it overwrites."""
+def _beyond(rng, a, u):
+    """N(0, 1) draws beyond each a: by inverse CDF from the uniforms u, which
+    it overwrites, except where a >= ``_TAIL``, which take Robert's tail
+    sampler from rng in index order."""
     lo = ndtr(a)
     # lo + (1 - lo) * U: the doubles rng.uniform(lo, 1.0) returns, without
     # its broadcasting
@@ -113,13 +97,17 @@ def _central_trunc(a, u):
     u += lo
     # clip away from 1.0: ndtri(1.0) is inf
     np.minimum(u, 1.0 - 1e-16, out=u)
-    return ndtri(u, out=u)
+    x = ndtri(u, out=u)
+    for i in np.flatnonzero(a >= _TAIL):
+        x[i] = _robert_tail(rng, a[i])
+    return x
 
 
 def _robert_tail(rng, a):
     # N(0, 1) beyond a, exact for every a >= 0: translated-exponential proposal
-    # at the optimal rate (Robert 1995); used by the latent sweep past _TAIL
-    # and by fit_gaussian's sigma draw
+    # at the optimal rate (Robert 1995).  Callers: _beyond past _TAIL (so the
+    # latent sweep and truncated_normal) and fit_gaussian's sigma draw,
+    # gaussian._positive_normal
     lam = 0.5 * (a + math.sqrt(a * a + 4.0))
     while True:
         x = a + rng.exponential(1.0 / lam)
@@ -194,9 +182,7 @@ def _latent_sweep(rng, plan, z, means):
         a = z[g.bound].max(axis=0)
         a -= mean
         a *= g.sign
-        x = _central_trunc(a, uniforms[g.draw])
-        for i in np.flatnonzero(a >= _TAIL):
-            x[i] = _robert_tail(rng, a[i])
+        x = _beyond(rng, a, uniforms[g.draw])
         x *= g.sign
         x += mean
         z[g.z] = x

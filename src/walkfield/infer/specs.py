@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,6 +22,7 @@ class PriorSpec:
     re_sd_scale: half-normal scale on the random effect sd.
     tau2_shape/tau2_scale: inverse-gamma on the nonspatial error variance.
     rate_beta_sd / mu_lk_sd: diffuse Gaussian sds in the genetics model.
+    Each must be positive and finite, else ``DataError`` naming it.
     """
 
     regression_sd: float = 100.0
@@ -32,8 +34,8 @@ class PriorSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise DataError(f"prior hyperparameter {f.name} must be positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise DataError(f"prior hyperparameter {f.name} must be positive and finite")
 
 
 def chain_length(iterations, burnin, thin=1, compute_loglik_every=1) -> int:

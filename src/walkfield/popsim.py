@@ -93,7 +93,6 @@ class PopulationTrajectory:
     kind: str
     scale: int | None = None
     event_count: int | None = 0
-    rng_seed: int | None = None
     ended_early: bool = False
 
     def density(self) -> np.ndarray:
@@ -247,7 +246,7 @@ def simulate_population(
         final_rate = births.sum() + snaps[-1] @ Q.matrix.diagonal()
         return PopulationTrajectory(
             times=grid, values=snaps, kind="counts", scale=N, event_count=None,
-            rng_seed=seed, ended_early=bool(final_rate <= 0.0),
+            ended_early=bool(final_rate <= 0.0),
         )
 
     alpha = Q.rates
@@ -321,7 +320,7 @@ def simulate_population(
             )
             exc.partial = PopulationTrajectory(
                 times=grid[:gi], values=snaps[:gi], kind="counts", scale=N,
-                event_count=events, rng_seed=seed, ended_early=True,
+                event_count=events, ended_early=True,
             )
             raise exc
 
@@ -336,7 +335,6 @@ def simulate_population(
         kind="counts",
         scale=N,
         event_count=events,
-        rng_seed=seed,
         ended_early=ended_early,
     )
 

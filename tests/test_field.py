@@ -162,6 +162,11 @@ class TestFieldSampling:
         with pytest.raises(DataError):
             IntrinsicField(sym_generator(rng, 5), sigma=0.0)
 
+    def test_sigma_must_be_finite(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(DataError, match="sigma"):
+            IntrinsicField(sym_generator(rng, 5), sigma=np.inf)
+
 
 class TestLogDensity:
     def test_two_node_hand_value(self):

@@ -119,6 +119,11 @@ class TestSpecValidation:
                 n_categories=(3,),
             )
 
+    @pytest.mark.parametrize("key", ["rate_beta_sd", "mu_lk_sd"])
+    def test_prior_rejects_infinite_sd(self, key):
+        with pytest.raises(DataError, match=key):
+            PriorSpec(**{key: math.inf})
+
     def test_rejects_zero_loci(self):
         with pytest.raises(DataError, match="at least one locus"):
             GeneticsModelSpec(graph=stream_network(), node_of_individual=np.zeros(4, dtype=int),
@@ -322,15 +327,17 @@ def _ref_std_lower_trunc(rng, a):
         ac = a[central]
         u = rng.uniform(ndtr(ac), 1.0)
         out[central] = ndtri(np.minimum(u, 1.0 - 1e-16))
-    if (~central).any():
-        for i in np.flatnonzero(~central):
-            lam = 0.5 * (a[i] + math.sqrt(a[i] * a[i] + 4.0))
-            while True:
-                x = a[i] + rng.exponential(1.0 / lam)
-                if math.log(rng.random()) <= -0.5 * (x - lam) ** 2:
-                    out[i] = x
-                    break
+    for i in np.flatnonzero(~central):
+        out[i] = _ref_robert_tail(rng, a[i])
     return out
+
+
+def _ref_robert_tail(rng, a):
+    lam = 0.5 * (a + math.sqrt(a * a + 4.0))
+    while True:
+        x = a + rng.exponential(1.0 / lam)
+        if math.log(rng.random()) <= -0.5 * (x - lam) ** 2:
+            return x
 
 
 def _ref_truncated_normal(rng, mean, lower=None, upper=None):
@@ -704,6 +711,16 @@ class TestAgainstReferenceSampler:
                                       category_probs(means)[np.arange(30), cats])
 
 
+def _ref_sweep_rule(rng, a):
+    """N(0, 1) beyond each a by the latent sweep's stream rule: a uniform for
+    every entry first, then Robert's tail sampler for the entries with
+    a >= 6, in order, in place of their inverse-CDF draws."""
+    out = ndtri(np.minimum(rng.uniform(ndtr(a), 1.0), 1.0 - 1e-16))
+    for i in np.flatnonzero(a >= 6.0):
+        out[i] = _ref_robert_tail(rng, a[i])
+    return out
+
+
 class TestTruncatedNormalStream:
     @staticmethod
     def _mixed(rng, n=400):
@@ -719,7 +736,7 @@ class TestTruncatedNormalStream:
         rng, ref = np.random.default_rng(15), np.random.default_rng(15)
         lower = mean + a
         got = truncated_normal(rng, mean, lower=lower)
-        want = mean + _ref_std_lower_trunc(ref, lower - mean)
+        want = mean + _ref_sweep_rule(ref, lower - mean)
         np.testing.assert_array_equal(got, want)
         assert rng.random() == ref.random()
 
@@ -729,7 +746,20 @@ class TestTruncatedNormalStream:
         upper = mean - a
         rng, ref = np.random.default_rng(18), np.random.default_rng(18)
         got = truncated_normal(rng, mean, upper=upper)
-        want = mean - _ref_std_lower_trunc(ref, -(upper - mean))
+        want = mean - _ref_sweep_rule(ref, -(upper - mean))
+        np.testing.assert_array_equal(got, want)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_without_tail_entries_the_former_rule_draws_the_same(self, side):
+        # the former rule drew the central uniforms, then the tail entries'
+        # Robert draws; with no entry at a >= 6 its stream is the sweep's
+        a = np.random.default_rng(20).uniform(-3.0, 5.9, size=400)
+        mean = np.random.default_rng(21).normal(size=a.size)
+        sign = 1.0 if side == "lower" else -1.0
+        rng, ref = np.random.default_rng(22), np.random.default_rng(22)
+        got = truncated_normal(rng, mean, **{side: mean + sign * a})
+        want = _ref_truncated_normal(ref, mean, **{side: mean + sign * a})
         np.testing.assert_array_equal(got, want)
         assert rng.random() == ref.random()
 

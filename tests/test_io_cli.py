@@ -408,6 +408,19 @@ def test_cli_check_ident_one_node_exit_3(tmp_path, capsys):
     assert "identifiability needs at least 2 nodes, got 1" in capsys.readouterr().err
 
 
+def test_cli_simulate_field_infinite_sigma_exit_3(tmp_path, cli_graph, capsys):
+    nodes, edges = cli_graph
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nsigma=inf\n")
+    out = tmp_path / "f"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate-field", "--config", str(cfg), "--seed", "11",
+                     "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "sigma must be positive and finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_simulate_field_deterministic(tmp_path, cli_graph):
     nodes, edges = cli_graph
     cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nsigma=2.0\n")
@@ -808,6 +821,19 @@ def test_cli_fit_rejects_genetics_prior_keys_exit_2(tmp_path, cli_graph, capsys,
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"unknown key {key!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", cli.PRIOR_KEYS)
+def test_cli_fit_infinite_prior_exit_3(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, f"fixture=columbus\nmodel=spatial\niterations=60\nburnin=10\n"
+                              f"{key}=inf\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--seed", "5", "--out", str(out),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert f"prior hyperparameter {key} must be positive and finite" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

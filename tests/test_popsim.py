@@ -118,7 +118,7 @@ def _reference_simulate(Q, demo, n0, N, t_end, seed, snapshot_every,
             exc = NumericalError(f"event cap {max_events} exceeded")
             exc.partial = PopulationTrajectory(
                 times=grid[:gi], values=snaps[:gi], kind="counts", scale=N,
-                event_count=events, rng_seed=seed, ended_early=True,
+                event_count=events, ended_early=True,
             )
             raise exc
 
@@ -128,7 +128,7 @@ def _reference_simulate(Q, demo, n0, N, t_end, seed, snapshot_every,
 
     return PopulationTrajectory(
         times=grid, values=snaps, kind="counts", scale=N, event_count=events,
-        rng_seed=seed, ended_early=ended_early,
+        ended_early=ended_early,
     )
 
 
