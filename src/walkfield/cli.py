@@ -58,7 +58,13 @@ from .io import (
     write_samples_csv,
     write_trajectory_csv,
 )
-from .popsim import DemographyRates, convergence_gap, integrate_limit_ode, simulate_population
+from .popsim import (
+    DemographyRates,
+    convergence_gap,
+    initial_counts,
+    integrate_limit_ode,
+    simulate_population,
+)
 
 EXIT_CODES = {ConfigError: 2, DataError: 3, NumericalError: 4}
 
@@ -234,7 +240,7 @@ def _simulate_population(job):
         events = None
     else:
         N = _get(cfg, "N", int)
-        n0 = np.rint(N * z0).astype(np.int64)
+        n0 = initial_counts(N, z0)
         traj = simulate_population(Q, demo, n0, N, t_end, job.seed, snap)
         events = {"event_count": traj.event_count, "ended_early": traj.ended_early}
     kind = "ode" if traj.kind == "density" else f"N={traj.scale}"

@@ -9,18 +9,22 @@ deterministic flow dz/dt = -Q'z + (b - d).
 
 Which sampler runs depends only on the death rates:
 
-* Some d_i > 0: Gillespie's direct method, event by event.  The 3M event
-  rates (births, then removals, then moves out of each node) sit in one
-  binary sum tree, so choosing an event and updating the at most four rates
-  it changes costs O(log M) per event rather than O(M).  Every random number
-  comes from one stream of uniforms, the values successive scalar
-  rng.random() calls would return, drawn in blocks: per event, one for the
-  waiting time, taken by inversion as -log1p(-u) / total (1 - u is exact for
-  every u that random() returns), one to pick the event by searching the
-  tree, and for a move one more to pick the target.  A plain cumulative-sum
-  search over the same rates that takes the same uniforms in the same order
-  finds the same events wherever the rate sums are exact (for instance with
-  dyadic rates), so a seed gives the same path either way.
+* Some d_i > 0: Gillespie's direct method, event by event.  Birth rates
+  never change, so births are searched in a fixed cumulative table; the
+  removal rates of the occupied nodes and the move rates n_i * alpha_i
+  each sit in a binary sum tree over the M nodes.  Choosing an event and
+  updating the at most four rates it changes costs O(log M) per event
+  rather than O(M), and a move, which changes two move rates, recomputes
+  their shared ancestors once.  Every random number comes from one stream
+  of uniforms, the values successive scalar rng.random() calls would
+  return, drawn in blocks: per event, one for the waiting time, taken by
+  inversion as -log1p(-u) / total (1 - u is exact for every u that
+  random() returns), one to pick the event (first its group: birth,
+  removal or move, then the node within the group), and for a move one
+  more to pick the target.  A plain cumulative-sum search over the same
+  rates that takes the same uniforms in the same order finds the same
+  events wherever the rate sums are exact (for instance with dyadic
+  rates), so a seed gives the same path either way.
 * Every d_i = 0: walkers move independently and births form a Poisson
   stream, so the counts at the snapshot times are an exact Markov chain.
   Over a gap D the walkers at node i spread as Multinomial(n_i, P[i, :])
@@ -49,6 +53,9 @@ from .errors import DataError, NumericalError
 from .graph import GeneratorMatrix
 
 DEFAULT_EVENT_CAP = 50_000_000
+# most snapshot times a grid may hold; t_end / snapshot_every beyond it is refused
+# before the grid (and a snapshot array of that many rows) is allocated
+MAX_SNAPSHOTS = 10**6
 # largest expm round-off (a negative entry, or a row sum's distance from 1)
 # that the snapshot sampler clips away; anything larger is an error
 STOCHASTIC_ROUNDOFF = 1e-12
@@ -56,6 +63,7 @@ STOCHASTIC_ROUNDOFF = 1e-12
 ODE_MAX_STEP = 0.01
 # uniforms the event loop draws from its generator at a time
 _BLOCK = 1024
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,12 @@ def _snapshot_grid(t_end, snapshot_every):
         raise DataError(f"t_end must be finite and positive, got {t_end}")
     if not (np.isfinite(snapshot_every) and snapshot_every > 0):
         raise DataError(f"snapshot_every must be finite and positive, got {snapshot_every}")
+    # arange gives ceil(t_end / snapshot_every) points, and t_end may be appended
+    if not t_end / snapshot_every <= MAX_SNAPSHOTS - 1:
+        raise DataError(
+            f"t_end={t_end} with snapshot_every={snapshot_every} needs "
+            f"{t_end / snapshot_every + 1:.7g} snapshot times, more than MAX_SNAPSHOTS={MAX_SNAPSHOTS}"
+        )
     grid = np.arange(0.0, t_end, snapshot_every)
     if grid.size == 0 or grid[-1] < t_end:
         grid = np.append(grid, t_end)
@@ -136,6 +150,30 @@ def _set_leaf(tree: list, k: int, value: float) -> None:
     while v:
         tree[v] = tree[2 * v] + tree[2 * v + 1]
         v >>= 1
+
+
+def _set_two_leaves(tree: list, i: int, x: float, j: int, y: float) -> None:
+    """Set leaves i and j, then recompute their ancestors once each.
+
+    Both paths climb together until they meet, then one climbs on to the
+    root; every ancestor is summed after its children, so the tree is the
+    one two ``_set_leaf`` calls leave.
+    """
+    size = len(tree) // 2
+    a = size + i
+    b = size + j
+    tree[a] = x
+    tree[b] = y
+    a >>= 1
+    b >>= 1
+    while a != b:
+        tree[a] = tree[2 * a] + tree[2 * a + 1]
+        tree[b] = tree[2 * b] + tree[2 * b + 1]
+        a >>= 1
+        b >>= 1
+    while a:
+        tree[a] = tree[2 * a] + tree[2 * a + 1]
+        a >>= 1
 
 
 def _find_leaf(tree: list, u: float) -> int:
@@ -208,6 +246,30 @@ def _draw_snapshots(Q, births, n, grid, snapshot_every, rng) -> np.ndarray:
     return snaps
 
 
+def _check_scale(N) -> None:
+    """DataError unless N, the population scale, is an integer in [1, 2**63)."""
+    if not (1 <= N <= _INT64_MAX and float(N).is_integer()):
+        raise DataError(f"N must be an integer from 1 to 2**63 - 1, got {N}")
+
+
+def _counts(n, what: str) -> np.ndarray:
+    """``n`` as int64 counts; DataError naming ``what`` unless each is an integer in [0, 2**63)."""
+    n = np.asarray(n)
+    if (n.dtype.kind not in "iuf" or not np.isfinite(n).all() or (n < 0).any()
+            or (n != np.rint(n)).any()):
+        raise DataError(f"{what} must be a vector of nonnegative integers, got {n}")
+    # int() of the largest entry is exact for integer and float dtypes alike
+    if n.size and int(n.max()) > _INT64_MAX:
+        raise DataError(f"{what} has a count of {n.max():.4g}, more than an int64 holds")
+    return n.astype(np.int64)
+
+
+def initial_counts(N, z0) -> np.ndarray:
+    """round(N * z0), the starting counts of a population of scale N at density z0."""
+    _check_scale(N)
+    return _counts(np.rint(N * np.asarray(z0, dtype=float)), f"round(N * z0) with N={N}")
+
+
 def simulate_population(
     Q: GeneratorMatrix,
     demo: DemographyRates,
@@ -228,15 +290,12 @@ def simulate_population(
     carrying the snapshots so far as ``partial``.
     """
     m = Q.dim
-    n = np.asarray(n0)
-    if (n.shape != (m,) or n.dtype.kind not in "iuf" or not np.isfinite(n).all()
-            or (n < 0).any() or (n != np.rint(n)).any()):
-        raise DataError(f"n0 must be a nonnegative integer vector of length M, got {n0}")
-    n = n.astype(np.int64)
+    n = _counts(n0, "n0")
+    if n.shape != (m,):
+        raise DataError(f"n0 must have length M={m}, got shape {n.shape}")
     if demo.b.shape != (m,):
         raise DataError("demography rate length does not match the graph")
-    if not (N >= 1 and float(N).is_integer()):
-        raise DataError(f"N must be an integer of at least 1, got {N}")
+    _check_scale(N)
     grid = _snapshot_grid(t_end, snapshot_every)
     rng = np.random.default_rng(seed)
 
@@ -257,18 +316,18 @@ def simulate_population(
     # the exit rate is the row's last partial sum, so w = U * alpha_i < row_cum[i][-1]
     # and the target search cannot run past the row
     alpha_i = [c[-1] if c else 0.0 for c in row_cum]
-    birth = (N * demo.b).tolist()
+    # births never change rate: a fixed cumulative table, whose last entry is the total
+    birth_cum = list(accumulate((N * demo.b).tolist()))
+    birth_total = birth_cum[-1]
     death = (N * demo.d).tolist()
     counts = n.tolist()
-    tree = _sum_tree(
-        birth
-        + [death[i] if counts[i] > 0 else 0.0 for i in range(m)]
-        + [counts[i] * alpha_i[i] for i in range(m)]
-    )
+    removals = _sum_tree([death[i] if counts[i] > 0 else 0.0 for i in range(m)])
+    moves = _sum_tree([counts[i] * alpha_i[i] for i in range(m)])
 
     grid_t = grid.tolist()
     snaps = np.empty((grid.size, m), dtype=np.int64)
     gi = 0
+    next_snap = grid_t[0]
     t = 0.0
     events = 0
     ended_early = False
@@ -277,41 +336,45 @@ def simulate_population(
     draw = chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
 
     while True:
-        total = tree[1]
+        born_or_removed = birth_total + removals[1]
+        total = born_or_removed + moves[1]
         if total <= 0.0:
             ended_early = t < t_end
             break
         # exponential waiting time by inversion
         t_next = t - log1p(-draw()) / total
-        while gi < grid.size and grid_t[gi] <= t_next:
-            snaps[gi] = counts  # process is piecewise constant: carry state forward
-            gi += 1
-        if gi >= grid.size:
-            break
+        if t_next >= next_snap:
+            while gi < grid.size and grid_t[gi] <= t_next:
+                snaps[gi] = counts  # process is piecewise constant: carry state forward
+                gi += 1
+            if gi >= grid.size:
+                break
+            next_snap = grid_t[gi]
         t = t_next
-        k = _find_leaf(tree, draw() * total)
-        if k < m:
-            i = k
+        u = draw() * total
+        if u < birth_total:
+            i = bisect_right(birth_cum, u)
             counts[i] += 1
             if counts[i] == 1 and death[i]:
-                _set_leaf(tree, m + i, death[i])
-        elif k < 2 * m:
-            i = k - m
+                _set_leaf(removals, i, death[i])
+            _set_leaf(moves, i, counts[i] * alpha_i[i])
+        elif u < born_or_removed:
+            i = _find_leaf(removals, u - birth_total)
             counts[i] -= 1
             if counts[i] == 0:
-                _set_leaf(tree, k, 0.0)
+                _set_leaf(removals, i, 0.0)
+            _set_leaf(moves, i, counts[i] * alpha_i[i])
         else:
-            i = k - 2 * m
+            i = _find_leaf(moves, u - born_or_removed)
             w = draw() * alpha_i[i]
             j = targets[i][bisect_right(row_cum[i], w)]
             counts[i] -= 1
             counts[j] += 1
             if counts[i] == 0 and death[i]:
-                _set_leaf(tree, m + i, 0.0)
+                _set_leaf(removals, i, 0.0)
             if counts[j] == 1 and death[j]:
-                _set_leaf(tree, m + j, death[j])
-            _set_leaf(tree, 2 * m + j, counts[j] * alpha_i[j])
-        _set_leaf(tree, 2 * m + i, counts[i] * alpha_i[i])
+                _set_leaf(removals, j, death[j])
+            _set_two_leaves(moves, i, counts[i] * alpha_i[i], j, counts[j] * alpha_i[j])
         events += 1
         if events > max_events:
             exc = NumericalError(
@@ -412,7 +475,7 @@ def convergence_gap(
     z_ref = ode.values
     out = {}
     for N in N_list:
-        n0 = np.rint(N * z0).astype(np.int64)
+        n0 = initial_counts(N, z0)
         gaps = []
         for rep in range(replicates):
             stream_seed = np.random.SeedSequence((seed, N, rep)).generate_state(1)[0]

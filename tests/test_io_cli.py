@@ -942,6 +942,51 @@ def test_cli_non_finite_initial_density_exit_2(tmp_path, cli_graph, capsys, comm
     assert "initial_density entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("simulate-population", "N=200\nseed=3\n"),
+    ("simulate-population", "N=200\nseed=3\ndeath=0.1\n"),
+    ("simulate-population", "ode=true\n"),
+    ("convergence", "N_list=50\nreplicates=2\nseed=3\n"),
+], ids=["population", "deaths", "ode", "convergence"])
+def test_cli_snapshot_grid_beyond_max_exit_3(tmp_path, cli_graph, capsys, command, settings):
+    nodes, edges = cli_graph
+    cfg = write_cfg(
+        tmp_path,
+        f"nodes={nodes}\nedges={edges}\nsymmetric=true\nt_end=1e300\nsnapshot_every=1e-300\n"
+        + settings,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "p"),
+                     "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "t_end=1e+300 with snapshot_every=1e-300 needs inf snapshot times" in err
+    assert "MAX_SNAPSHOTS=1000000" in err and "Traceback" not in err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("command, settings, match", [
+    ("simulate-population", "N=1000000000000000000000000000000\nseed=3\n", "N must be"),
+    ("simulate-population", "N=1000000000000000000000000000000\nseed=3\ndeath=0.1\n",
+     "N must be"),
+    ("simulate-population", "N=200\nseed=3\ninitial_density=1e30;0;0;0\n",
+     "round(N * z0) with N=200 has a count of 2e+32"),
+    ("convergence", "N_list=50;1000000000000000000000000000000\nreplicates=2\nseed=3\n",
+     "N must be"),
+], ids=["population", "deaths", "density", "convergence"])
+def test_cli_counts_beyond_int64_exit_3(tmp_path, cli_graph, capsys, command, settings, match):
+    nodes, edges = cli_graph
+    cfg = write_cfg(tmp_path, f"nodes={nodes}\nedges={edges}\nsymmetric=true\nt_end=0.5\n"
+                    + settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "p"),
+                     "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert match in err and "n0" not in err and "Traceback" not in err
+    assert not (tmp_path / "p").exists()
+
+
 def test_cli_convergence(tmp_path, cli_graph):
     nodes, edges = cli_graph
     cfg = write_cfg(

@@ -15,7 +15,10 @@ from walkfield.graph import generator_from_rates
 from walkfield.popsim import (
     DemographyRates,
     PopulationTrajectory,
+    _counts,
     _find_leaf,
+    _set_leaf,
+    _set_two_leaves,
     _snapshot_grid,
     _stochastic,
     _sum_tree,
@@ -191,10 +194,14 @@ def _dyadic(rng, low, high):
     return 2.0 ** int(rng.integers(low, high + 1))
 
 
-def _dyadic_case(seed):
-    """A random directed graph with power-of-two rates, births and deaths (some 0)."""
+def _dyadic_case(seed, m=None):
+    """A random directed graph with power-of-two rates, births and deaths (some 0).
+
+    Without ``m`` the graph has 2 to 8 nodes.
+    """
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 9))
+    if m is None:
+        m = int(rng.integers(2, 9))
     Q = generator_from_rates(m, random_directed_rates(rng, m, lambda: _dyadic(rng, -2, 2)))
     b = np.array([_dyadic(rng, -4, 0) if rng.random() < 0.6 else 0.0 for _ in range(m)])
     d = np.array([_dyadic(rng, -4, 0) if rng.random() < 0.6 else 0.0 for _ in range(m)])
@@ -218,6 +225,23 @@ class TestSumTreeIdentity:
         Q, demo, n0, N = _dyadic_case(seed)
         args = (Q, demo, n0, N, 3.0, 1000 + seed, 0.25)
         _assert_same_path(simulate_population(*args), _reference_simulate(*args))
+
+    @pytest.mark.parametrize("births", ["ends-zero", "none"])
+    @pytest.mark.parametrize("m", [17, 24, 32, 33, 40])
+    def test_deep_trees_match_reference_loop(self, m, births):
+        # 17 to 32 nodes give removal and move trees of 32 leaves, 33 to 40 of 64;
+        # the two leaves of a move then share only the top levels of their paths
+        Q, demo, n0, N = _dyadic_case(600 + m, m=m)
+        b = demo.b.copy()
+        b[[0, -1]] = 0.0
+        if births == "none":
+            b[:] = 0.0
+        demo = DemographyRates(b=b, d=demo.d)
+        assert demo.d.any() and len(_sum_tree([0.0] * m)) == 2 * (32 if m <= 32 else 64)
+        args = (Q, demo, n0, N, 1.0, 2000 + m, 0.25)
+        new = simulate_population(*args)
+        assert new.event_count > 100
+        _assert_same_path(new, _reference_simulate(*args))
 
     def test_extinction_matches_reference_loop(self):
         rng = np.random.default_rng(77)
@@ -275,6 +299,21 @@ class TestFindLeaf:
             assert tree[1] == cum[-1]
             for u in rng.random(200) * tree[1]:
                 assert _find_leaf(tree, u) == int(np.searchsorted(cum, u, side="right"))
+
+
+class TestSetTwoLeaves:
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 17, 40])
+    def test_same_tree_as_two_set_leaf_calls(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(50):
+            tree = _sum_tree(rng.random(size).tolist())
+            expected = list(tree)
+            i, j = (int(k) for k in rng.integers(size, size=2))
+            x, y = rng.random(2).tolist()
+            _set_leaf(expected, i, x)
+            _set_leaf(expected, j, y)
+            _set_two_leaves(tree, i, x, j, y)
+            assert tree == expected
 
 
 class TestPopulationLaw:
@@ -527,6 +566,46 @@ class TestRejectsBadInputs:
         a = simulate_population(two_node_Q(), demo, [5.0, 5.0], 10.0, 1.0, 3, 0.5)
         b = simulate_population(two_node_Q(), demo, [5, 5], 10, 1.0, 3, 0.5)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("run", ["closed", "deaths", "ode", "convergence"])
+    def test_grid_beyond_max_snapshots(self, run):
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, 0.5 if run == "deaths" else 0.0))
+        with pytest.raises(DataError, match=r"t_end=1e\+300 with snapshot_every=1e-300 .*MAX_SNAPSHOTS"):
+            if run == "ode":
+                integrate_limit_ode(two_node_Q(), demo, [0.5, 0.5], 1e300, snapshot_every=1e-300)
+            elif run == "convergence":
+                convergence_gap(two_node_Q(), demo, [0.5, 0.5], 1e300, [10], 1, 0,
+                                snapshot_every=1e-300)
+            else:
+                simulate_population(two_node_Q(), demo, [5, 5], 10, 1e300, 0, 1e-300)
+
+    def test_grid_bound_is_the_point_count(self, monkeypatch):
+        monkeypatch.setattr(popsim, "MAX_SNAPSHOTS", 5)
+        assert _snapshot_grid(4.0, 1.0).size == 5  # 0, 1, 2, 3, 4
+        assert _snapshot_grid(3.5, 1.0).size == 5  # 0, 1, 2, 3, 3.5
+        with pytest.raises(DataError, match="needs 5.5 snapshot times"):
+            _snapshot_grid(4.5, 1.0)
+
+    @pytest.mark.parametrize("death", [0.0, 0.5], ids=["closed", "deaths"])
+    @pytest.mark.parametrize("n0", [[1e30, 0.0], np.array([2**64 - 1, 0], dtype=np.uint64),
+                                    [2.0**63, 0.0]], ids=["1e30", "uint64", "2**63"])
+    def test_counts_beyond_int64(self, death, n0):
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, death))
+        with pytest.raises(DataError, match="n0 has a count of"):
+            simulate_population(two_node_Q(), demo, n0, 10, 1.0, 0, 0.5)
+
+    def test_largest_int64_count_is_kept(self):
+        np.testing.assert_array_equal(_counts([2**63 - 1, 0], "n0"), [2**63 - 1, 0])
+
+    @pytest.mark.parametrize("death", [0.0, 0.5], ids=["closed", "deaths"])
+    def test_scale_beyond_int64(self, death):
+        demo = DemographyRates(b=np.zeros(2), d=np.full(2, death))
+        with pytest.raises(DataError, match="N must be an integer"):
+            simulate_population(two_node_Q(), demo, [5, 5], 10**30, 1.0, 0, 0.5)
+        with pytest.raises(DataError, match="N must be an integer"):
+            convergence_gap(two_node_Q(), demo, [0.5, 0.5], 1.0, [10, 10**30], 1, 0)
+        with pytest.raises(DataError, match=r"round\(N \* z0\) with N=10 has a count of 1e\+31"):
+            convergence_gap(two_node_Q(), demo, [0.5, 1e30], 1.0, [10], 1, 0)
 
     @pytest.mark.parametrize("t_end, every", BAD_GRIDS)
     def test_integrate_limit_ode(self, t_end, every):
