@@ -22,6 +22,7 @@ from walkfield import (
     sample_fields,
     simulate_population,
 )
+from walkfield.popsim import initial_counts
 
 M = 4
 SEED = 11
@@ -39,7 +40,7 @@ def main():
     z0 = np.array([0.7, 0.1, 0.1, 0.1])
 
     ode = integrate_limit_ode(Q, demo, z0, t_end=2.0, snapshot_every=0.5)
-    traj = simulate_population(Q, demo, np.rint(1000 * z0).astype(np.int64),
+    traj = simulate_population(Q, demo, initial_counts(1000, z0),
                                N=1000, t_end=2.0, seed=SEED, snapshot_every=0.5)
     print("density at snapshot times (N = 1000 vs ODE limit):")
     for t, row, ref in zip(traj.times, traj.density(), ode.values):

@@ -37,6 +37,14 @@ Which sampler runs depends only on the death rates:
   (norm ~40) on one core of a 2-vCPU x86-64 VM, and with births the block
   is 2M x 2M, so for large M and few events the event loop is the cheaper
   path; the networks in use have M <= 49.
+
+The flow is linear with constant coefficients, so ``integrate_limit_ode``
+solves it exactly with the same matrices: over a gap h, z' goes to
+z'P + (b - d)'G.  It costs what the snapshot sampler costs, less the
+draws.  On the 2000-node dendritic network at beta = (0, 1, -1) (max
+Q_ii 5.7, gap 0.1) one call took 2.9 s with b = d and 17.8 s with
+b != d (the 2M block) on one core of the same VM, where fixed-step RK4
+took 13 ms.
 """
 
 from __future__ import annotations
@@ -59,8 +67,6 @@ MAX_SNAPSHOTS = 10**6
 # largest expm round-off (a negative entry, or a row sum's distance from 1)
 # that the snapshot sampler clips away; anything larger is an error
 STOCHASTIC_ROUNDOFF = 1e-12
-# longest RK4 step of integrate_limit_ode; faster generators take 0.1 / max rate
-ODE_MAX_STEP = 0.01
 # uniforms the event loop draws from its generator at a time
 _BLOCK = 1024
 _INT64_MAX = 2**63 - 1
@@ -226,24 +232,37 @@ def _gap_laws(q: np.ndarray, births: np.ndarray, step: float):
     return P, births @ G
 
 
-def _draw_snapshots(Q, births, n, grid, snapshot_every, rng) -> np.ndarray:
-    """Counts at the grid times with no removals, drawn gap by gap from their exact law."""
+def _grid_gaps(Q, inflow, grid, snapshot_every):
+    """Per grid gap, the (P, lam) of ``_gap_laws`` for ``inflow``, one exponential per gap length.
+
+    ``inflow`` is N b for the snapshot sampler and b - d for the ODE.
+    """
     gaps = np.diff(grid)
     # arange's gaps miss snapshot_every by round-off only (at most an ulp of
     # t_end); they share its matrix, and only a remainder gap gets its own
     gaps[np.abs(gaps - snapshot_every) <= 4 * np.finfo(float).eps * grid[-1]] = snapshot_every
     steps, which = np.unique(gaps, return_inverse=True)
     q = Q.dense()
-    laws = [_gap_laws(q, births, step) for step in steps]
+    laws = [_gap_laws(q, inflow, step) for step in steps]
+    return [laws[w] for w in which]
+
+
+def _draw_snapshots(Q, births, n, grid, snapshot_every, rng) -> np.ndarray:
+    """Counts at the grid times with no removals, drawn gap by gap from their exact law."""
     snaps = np.empty((grid.size, n.size), dtype=np.int64)
     snaps[0] = n
-    for k, w in enumerate(which, start=1):
-        P, lam = laws[w]
+    for k, (P, lam) in enumerate(_grid_gaps(Q, births, grid, snapshot_every), start=1):
         n = rng.multinomial(n, P).sum(axis=0)
         if lam is not None:
             n += rng.poisson(lam)
         snaps[k] = n
     return snaps
+
+
+def _check_demography(demo: DemographyRates, m: int) -> None:
+    """DataError unless ``demo`` has one birth and one death rate per node of an M-node graph."""
+    if demo.b.shape != (m,):
+        raise DataError("demography rate length does not match the graph")
 
 
 def _check_scale(N) -> None:
@@ -293,8 +312,7 @@ def simulate_population(
     n = _counts(n0, "n0")
     if n.shape != (m,):
         raise DataError(f"n0 must have length M={m}, got shape {n.shape}")
-    if demo.b.shape != (m,):
-        raise DataError("demography rate length does not match the graph")
+    _check_demography(demo, m)
     _check_scale(N)
     grid = _snapshot_grid(t_end, snapshot_every)
     rng = np.random.default_rng(seed)
@@ -409,44 +427,28 @@ def integrate_limit_ode(
     t_end: float,
     snapshot_every: float,
 ) -> PopulationTrajectory:
-    """Classic fixed-step 4th-order integration of dz/dt = -Q'z + (b - d).
+    """Exact solution of dz/dt = -Q'z + (b - d) at the snapshot times.
 
-    The step is dt = min(ODE_MAX_STEP, 0.1 / max_i Q_ii).  Steps are
-    shortened to land exactly on each snapshot time and on t_end, so
-    recorded states need no interpolation.
+    The flow is linear with constant coefficients, so over a gap h it maps
+    z' to z'P + (b - d)'G with P = expm(-Q h) and G = int_0^h expm(-Q u) du,
+    the matrices ``_gap_laws`` forms for the snapshot sampler: one dense
+    exponential per distinct gap, O(M^3) once, then O(M^2) per snapshot.
     """
     m = Q.dim
-    z = np.asarray(z0, dtype=float).copy()
+    z = np.asarray(z0, dtype=float)
     if z.shape != (m,):
         raise DataError("z0 must have length M")
     if not np.isfinite(z).all():
         raise DataError(f"z0 must be finite, got {z0}")
-    qmax = float(np.max(Q.matrix.diagonal())) if m else 1.0
-    dt = min(ODE_MAX_STEP, 0.1 / qmax) if qmax > 0 else ODE_MAX_STEP
+    _check_demography(demo, m)
     grid = _snapshot_grid(t_end, snapshot_every)
-
-    qt = Q.matrix.T.tocsr()
-    drift = demo.b - demo.d
-
-    def f(state):
-        return -(qt @ state) + drift
-
     snaps = np.empty((grid.size, m))
     snaps[0] = z
-    t = 0.0
-    for gi in range(1, grid.size):
-        target = grid[gi]
-        while t < target - 1e-15:
-            h = min(dt, target - t)
-            k1 = f(z)
-            k2 = f(z + 0.5 * h * k1)
-            k3 = f(z + 0.5 * h * k2)
-            k4 = f(z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            if not np.isfinite(z).all():
-                raise NumericalError(f"ODE state diverged at t={t:.6g}")
-        snaps[gi] = z
+    for k, (P, lam) in enumerate(_grid_gaps(Q, demo.b - demo.d, grid, snapshot_every), start=1):
+        z = z @ P
+        if lam is not None:
+            z += lam
+        snaps[k] = z
     return PopulationTrajectory(times=grid, values=snaps, kind="density")
 
 

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from walkfield import popsim
 from walkfield.errors import DataError, NumericalError
+from walkfield.field import constrained_solve
 from walkfield.graph import generator_from_rates
 from walkfield.popsim import (
     DemographyRates,
@@ -613,6 +614,23 @@ class TestRejectsBadInputs:
             integrate_limit_ode(two_node_Q(), no_demography(2), [0.5, 0.5], t_end,
                                 snapshot_every=every)
 
+    @pytest.mark.parametrize("length", [1, 4], ids=["one-rate", "M+1-rates"])
+    def test_demography_length(self, length, monkeypatch):
+        Q = generator_from_rates(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
+        demo = DemographyRates(b=np.r_[0.3, np.zeros(length - 1)], d=np.zeros(length))
+        match = "demography rate length does not match the graph"
+        with pytest.raises(DataError, match=match):
+            integrate_limit_ode(Q, demo, np.full(3, 1 / 3), 1.0, snapshot_every=0.5)
+        with pytest.raises(DataError, match=match):
+            simulate_population(Q, demo, [5, 5, 5], 10, 1.0, 0, 0.5)
+
+        def never(*args, **kwargs):
+            raise AssertionError("convergence_gap simulated before checking its demography")
+
+        monkeypatch.setattr(popsim, "simulate_population", never)
+        with pytest.raises(DataError, match=match):
+            convergence_gap(Q, demo, np.full(3, 1 / 3), 1.0, [10, 100], 2, seed=0)
+
     @pytest.mark.parametrize("z0", [[np.nan, 0.5], [0.5, np.inf]], ids=["nan", "inf"])
     def test_non_finite_z0(self, z0):
         with pytest.raises(DataError, match="z0 must be finite"):
@@ -620,6 +638,15 @@ class TestRejectsBadInputs:
         demo = DemographyRates(b=np.full(2, 0.5), d=np.full(2, 0.5))
         with pytest.raises(DataError, match="z0 must be finite"):
             convergence_gap(two_node_Q(), demo, z0, 1.0, N_list=[10], replicates=1, seed=0)
+
+
+def augmented_oracle(q, drift, z0, t):
+    """z(t) of dz/dt = -q'z + drift, read off expm([[-q' t, drift t], [0, 0]]) @ [z0; 1]."""
+    m = q.shape[0]
+    block = np.zeros((m + 1, m + 1))
+    block[:m, :m] = -q.T * t
+    block[:m, m] = drift * t
+    return (expm(block) @ np.append(z0, 1.0))[:m]
 
 
 class TestLimitODE:
@@ -639,24 +666,77 @@ class TestLimitODE:
         traj = integrate_limit_ode(Q, no_demography(2), z0, 1.0, snapshot_every=0.25)
         for t, z in zip(traj.times, traj.values):
             gap = 0.3 * np.exp(-2.0 * t)
-            np.testing.assert_allclose(z, [0.5 + gap, 0.5 - gap], atol=1e-8)
+            np.testing.assert_allclose(z, [0.5 + gap, 0.5 - gap], rtol=0, atol=1e-13)
 
     def test_matches_matrix_exponential_oracle(self):
-        from scipy.linalg import expm
-
         Q = cycle4_Q()
         rng = np.random.default_rng(9)
         z0 = rng.dirichlet(np.ones(4))
         traj = integrate_limit_ode(Q, no_demography(4), z0, 2.0, snapshot_every=1.0)
         for t, z in zip(traj.times, traj.values):
             oracle = expm(-Q.dense().T * t) @ z0
-            np.testing.assert_allclose(z, oracle, atol=1e-7)
+            np.testing.assert_allclose(z, oracle, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t_end, every", [(2.0, 0.5), (1.0, 0.3)],
+                             ids=["even-grid", "remainder-gap"])
+    def test_net_growth_matches_augmented_oracle(self, t_end, every):
+        rng = np.random.default_rng(10)
+        Q = generator_from_rates(
+            5, random_directed_rates(rng, 5, lambda: float(rng.uniform(0.5, 2.0))))
+        demo = DemographyRates(b=rng.uniform(0.0, 0.5, size=5), d=rng.uniform(0.0, 0.5, size=5))
+        z0 = rng.dirichlet(np.ones(5))
+        traj = integrate_limit_ode(Q, demo, z0, t_end, snapshot_every=every)
+        assert traj.times[-1] == t_end
+        for t, z in zip(traj.times, traj.values):
+            np.testing.assert_allclose(z, augmented_oracle(Q.dense(), demo.b - demo.d, z0, t),
+                                       rtol=0, atol=1e-13)
+
+    def test_one_expm_per_distinct_gap(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(popsim, "expm", counted)
+        net = DemographyRates(b=np.full(4, 0.3), d=np.array([0.1, 0.5, 0.3, 0.3]))
+        for demo, every, expected in [(no_demography(4), 0.1, [(4, 4)]),
+                                      (net, 0.3, [(8, 8)] * 2)]:
+            calls.clear()
+            integrate_limit_ode(cycle4_Q(), demo, np.full(4, 0.25), 1.0, snapshot_every=every)
+            assert calls == expected
 
     def test_equilibrium_is_fixed_point(self):
         Q = cycle4_Q()
         z_eq = np.full(4, 0.25)
         traj = integrate_limit_ode(Q, no_demography(4), z_eq, 1.0, snapshot_every=0.5)
         np.testing.assert_allclose(traj.values, np.tile(z_eq, (3, 1)), atol=1e-12)
+
+
+class TestConstructiveLink:
+    """The ODE limit relaxes to the field's constrained solve plus the walk's own flow.
+
+    With sum-zero net growth g = b - d the flow's fixed point, shifted by the
+    mass of z0, is pi + (1'z0) v where Q'pi = g, 1'pi = 0, and v is the
+    stationary law; the zero-demography flow from z0 tends to (1'z0) v.
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_limit_is_constrained_solve_plus_free_flow(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 13))
+        Q = generator_from_rates(
+            m, random_directed_rates(rng, m, lambda: float(rng.uniform(0.5, 2.0))))
+        g = rng.normal(0.0, 0.05, size=m)
+        g -= g.mean()
+        demo = DemographyRates(b=np.clip(g, 0.0, None), d=np.clip(-g, 0.0, None))
+        z0 = rng.dirichlet(np.ones(m))
+        pi = constrained_solve(Q, demo.b - demo.d)
+        for every in (200.0, 7.0):
+            end = integrate_limit_ode(Q, demo, z0, 200.0, snapshot_every=every).values[-1]
+            free = integrate_limit_ode(Q, no_demography(m), z0, 200.0,
+                                       snapshot_every=every).values[-1]
+            np.testing.assert_allclose(end, pi + free, rtol=0, atol=1e-10)
 
 
 class TestConvergenceGap:
