@@ -9,7 +9,7 @@ spatial models by MCMC with DIC comparison.
 Importing the package loads numpy and scipy.sparse, and no other scipy
 submodule.  Every scipy function from outside scipy.sparse is a stand-in
 in ``walkfield._scipy`` that imports its submodule at its first call; a
-module imports the stand-in under the scipy name (``popsim.expm``,
+module imports the stand-in under the scipy name (``field.splu``,
 ``ident.minimize``), so a command pays only for the submodules it calls.
 """
 

@@ -28,23 +28,18 @@ Which sampler runs depends only on the death rates:
 * Every d_i = 0: walkers move independently and births form a Poisson
   stream, so the counts at the snapshot times are an exact Markov chain.
   Over a gap D the walkers at node i spread as Multinomial(n_i, P[i, :])
-  with P = expm(-Q D), and the immigrants of the gap add independent
-  Poisson(N b'G) counts with G = int_0^D expm(-Q u) du.  P and G come from
-  one Van Loan block exponential (Van Loan, IEEE TAC 23 (1978)).  No event
-  is simulated, so the cost does not depend on N: O(M^3) once per distinct
-  gap plus O(M^2) per snapshot, where the event loop pays O(log M) per
-  event.  A dense expm at M = 2000 took 2.1 s (Q D of norm ~0.4) to 5.6 s
-  (norm ~40) on one core of a 2-vCPU x86-64 VM, and with births the block
-  is 2M x 2M, so for large M and few events the event loop is the cheaper
-  path; the networks in use have M <= 49.
+  with P = exp(-Q D), and the immigrants of the gap add independent
+  Poisson(N b'G) counts with G = int_0^D exp(-Q u) du, both summed by
+  uniformization in ``_gap_laws``.  No event is simulated, so the cost
+  does not depend on N: some dense M x M products once per distinct gap
+  (15 on the 2000-node dendritic network at gap 0.1, about 4 s with or
+  without births on one core of a 2-vCPU x86-64 VM), then O(M^2) per
+  snapshot, where the event loop pays O(log M) per event; for large M and
+  few events the event loop is the cheaper path.
 
 The flow is linear with constant coefficients, so ``integrate_limit_ode``
-solves it exactly with the same matrices: over a gap h, z' goes to
-z'P + (b - d)'G.  It costs what the snapshot sampler costs, less the
-draws.  On the 2000-node dendritic network at beta = (0, 1, -1) (max
-Q_ii 5.7, gap 0.1) one call took 2.9 s with b = d and 17.8 s with
-b != d (the 2M block) on one core of the same VM, where fixed-step RK4
-took 13 ms.
+solves it exactly with the same sums: over a gap h, z' goes to
+z'P + (b - d)'G, at the snapshot sampler's cost less the draws.
 """
 
 from __future__ import annotations
@@ -52,11 +47,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from math import log1p
+from math import ceil, exp, ldexp, log1p, log2
 
 import numpy as np
 
-from ._scipy import expm
 from .errors import DataError, NumericalError
 from .graph import GeneratorMatrix
 
@@ -64,9 +58,9 @@ DEFAULT_EVENT_CAP = 50_000_000
 # most snapshot times a grid may hold; t_end / snapshot_every beyond it is refused
 # before the grid (and a snapshot array of that many rows) is allocated
 MAX_SNAPSHOTS = 10**6
-# largest expm round-off (a negative entry, or a row sum's distance from 1)
-# that the snapshot sampler clips away; anything larger is an error
-STOCHASTIC_ROUNDOFF = 1e-12
+# _gap_laws: the Poisson tail mass a sum leaves out, and the largest max Q_ii * step per piece
+TRUNCATION = 2.0**-56
+MAX_JUMPS = 8.0
 # uniforms the event loop draws from its generator at a time
 _BLOCK = 1024
 _INT64_MAX = 2**63 - 1
@@ -200,36 +194,43 @@ def _find_leaf(tree: list, u: float) -> int:
     return v - size
 
 
-def _stochastic(rows: np.ndarray, what: str) -> np.ndarray:
-    """Clip and renormalise expm round-off in rows that must be probability vectors.
+def _gap_laws(q: np.ndarray, inflow: np.ndarray, step: float):
+    """(P, lam): P = exp(-q step), and lam = inflow'G with G = int_0^step exp(-q u) du.
 
-    Round-off up to STOCHASTIC_ROUNDOFF is absorbed; beyond it the
-    exponential is not trusted and NumericalError is raised.
-    """
-    err = max(-rows.min(), np.abs(rows.sum(axis=1) - 1.0).max())
-    if not err <= STOCHASTIC_ROUNDOFF:  # also catches a NaN from expm
-        raise NumericalError(f"{what} is off a stochastic matrix by {err:.3g}")
-    rows = np.clip(rows, 0.0, None)
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
-def _gap_laws(q: np.ndarray, births: np.ndarray, step: float):
-    """(P, lam) for one gap: moves under P = expm(-q step), Poisson(lam) immigrants.
-
-    lam is N b'G with G = int_0^step expm(-q u) du, read off the Van Loan
-    block expm([[-q step, I step], [0, 0]]) = [[P, G], [0, I]]; it is None
-    when nothing is born.
+    Uniformization: with rate = max q_ii, S = I - q/rate is nonnegative with
+    unit row sums, P = sum_k w_k S^k for the Poisson(x = rate step) weights
+    w_k, and G = (1/rate) sum_k P(N > k) S^k.  The sums stop at the first
+    k + 1 > x whose tail bound w_k x / (k + 1 - x) is below TRUNCATION, which
+    bounds G's relative error too, and run by Horner with the tail summed
+    from the small end: P is nonnegative exactly, with nothing to clip.  A
+    gap with x above MAX_JUMPS is cut into 2^s equal parts joined by
+    lam <- lam + lam P and P <- P P.  lam is None when ``inflow`` is zero.
     """
     m = q.shape[0]
-    if not births.any():
-        return _stochastic(expm(-step * q), "expm(-Q dt)"), None
-    block = np.zeros((2 * m, 2 * m))
-    block[:m, :m] = -step * q
-    block[:m, m:] = step * np.eye(m)
-    e = expm(block)
-    P = _stochastic(e[:m, :m], "expm(-Q dt)")
-    G = step * _stochastic(e[:m, m:] / step, "int expm(-Q u) du / dt")
-    return P, births @ G
+    inflows = inflow.any()
+    rate = q.diagonal().max()
+    if rate <= 0.0:  # no edges: nothing moves
+        return np.eye(m), (step * inflow if inflows else None)
+    s = ceil(log2(rate * step / MAX_JUMPS)) if rate * step > MAX_JUMPS else 0
+    x = ldexp(rate * step, -s)
+    S = np.eye(m) - q / rate
+    w = [exp(-x)]
+    while not (len(w) > x and w[-1] * x / (len(w) - x) < TRUNCATION):
+        w.append(w[-1] * x / len(w))
+    tail = w.pop()  # P(N > k) for the next k, summed from the small end
+    P = tail * np.eye(m)
+    lam = np.zeros(m)
+    for wk in reversed(w):
+        P = S @ P
+        P.ravel()[::m + 1] += wk  # P's diagonal, through a view
+        if inflows:
+            lam = lam @ S + tail * inflow
+            tail += wk
+    lam /= rate
+    for _ in range(s):
+        lam += lam @ P
+        P = P @ P
+    return P, (lam if inflows else None)
 
 
 def _grid_gaps(Q, inflow, grid, snapshot_every):
@@ -430,9 +431,9 @@ def integrate_limit_ode(
     """Exact solution of dz/dt = -Q'z + (b - d) at the snapshot times.
 
     The flow is linear with constant coefficients, so over a gap h it maps
-    z' to z'P + (b - d)'G with P = expm(-Q h) and G = int_0^h expm(-Q u) du,
-    the matrices ``_gap_laws`` forms for the snapshot sampler: one dense
-    exponential per distinct gap, O(M^3) once, then O(M^2) per snapshot.
+    z' to z'P + (b - d)'G with P = exp(-Q h) and G = int_0^h exp(-Q u) du,
+    which ``_gap_laws`` sums for the snapshot sampler: one dense P and one
+    vector (b - d)'G per distinct gap, O(M^3) once, then O(M^2) per snapshot.
     """
     m = Q.dim
     z = np.asarray(z0, dtype=float)

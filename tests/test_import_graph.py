@@ -78,3 +78,36 @@ def test_fit_loads_no_scipy_special(tmp_path):
     assert out.split() == ["0", "0", "False"]
     for model in ("spatial", "diffusion"):
         assert (tmp_path / model / "summary.json").is_file()
+
+
+def test_population_commands_load_no_scipy_linalg(tmp_path):
+    # every gap law is summed by uniformization in numpy, so neither the ODE,
+    # nor the death-free snapshot sampler, nor a convergence study with deaths
+    # imports scipy.linalg
+    (tmp_path / "nodes.csv").write_text("node_id,x,y\n0,0,0\n1,1,0\n2,1,1\n")
+    (tmp_path / "edges.csv").write_text("from,to,distance\n0,1,1.0\n1,2,1.0\n")
+    graph = f"nodes={tmp_path / 'nodes.csv'}\nedges={tmp_path / 'edges.csv'}\nsymmetric=true\n"
+    jobs = []
+    for cmd, name, keys in [
+        ("simulate-population", "ode", "t_end=2.0\nsnapshot_every=0.3\nbirth=0.2\ndeath=0.1\n"
+                                       "ode=true\n"),
+        ("simulate-population", "births", "N=200\nt_end=1.0\nsnapshot_every=0.25\nbirth=0.2\n"
+                                          "death=0\n"),
+        ("convergence", "convergence", "N_list=50;200\nt_end=0.5\nreplicates=3\nbirth=0.2\n"
+                                       "death=0.1\n"),
+    ]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(graph + keys)
+        jobs.append((cmd, str(cfg), str(tmp_path / name)))
+    code = (
+        "import sys\nfrom walkfield.cli import main\n"
+        f"for cmd, cfg, out in {jobs!r}:\n"
+        "    print(main([cmd, '--config', cfg, '--seed', '3', '--out', out, '--quiet']))\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+                         timeout=120).stdout
+    assert out.split() == ["0", "0", "0", "False"]
+    assert (tmp_path / "births" / "trajectory.csv").is_file()
+    assert (tmp_path / "convergence" / "convergence.json").is_file()

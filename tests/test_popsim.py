@@ -21,7 +21,6 @@ from walkfield.popsim import (
     _set_leaf,
     _set_two_leaves,
     _snapshot_grid,
-    _stochastic,
     _sum_tree,
     convergence_gap,
     integrate_limit_ode,
@@ -488,18 +487,21 @@ class TestSnapshotSampler:
         self._assert_same_law(Q, demo, rng.integers(0, 10, size=4), 40)
 
     def test_one_expm_per_distinct_gap(self, monkeypatch):
+        # the gap exponential P (and with births lam) is formed once per distinct gap
         calls = []
 
-        def counted(a):
-            calls.append(a.shape)
-            return expm(a)
+        def counted(q, inflow, step):
+            calls.append((step, bool(inflow.any())))
+            return gap_laws(q, inflow, step)
 
-        monkeypatch.setattr(popsim, "expm", counted)
+        gap_laws = popsim._gap_laws
+        monkeypatch.setattr(popsim, "_gap_laws", counted)
         births = DemographyRates(b=np.full(4, 0.2), d=np.zeros(4))
         # arange's 0.1-spaced points differ from multiples of 0.1 by round-off only
-        for demo, t_end, every, expected in [(no_demography(4), 1.0, 0.1, [(4, 4)]),
-                                             (no_demography(4), 1.0, 0.3, [(4, 4)] * 2),
-                                             (births, 0.7, 0.1, [(8, 8)])]:
+        for demo, t_end, every, expected in [(no_demography(4), 1.0, 0.1, [(0.1, False)]),
+                                             (no_demography(4), 1.0, 0.3,
+                                              [(pytest.approx(0.1), False), (0.3, False)]),
+                                             (births, 0.7, 0.1, [(0.1, True)])]:
             calls.clear()
             traj = simulate_population(cycle4_Q(), demo, [5] * 4, 10, t_end, 0, every)
             assert calls == expected
@@ -516,15 +518,29 @@ class TestSnapshotSampler:
         births = DemographyRates(b=np.full(4, 0.1), d=np.zeros(4))
         assert simulate_population(Q, births, [0] * 4, 5, 1.0, 0, 0.5).ended_early is False
 
-    def test_roundoff_is_clipped_within_bound_and_raises_beyond(self):
-        eps = 1e-14
-        rows = np.array([[0.5 + eps, 0.5, -eps], [0.25, 0.75 - eps, 0.0]])
-        clean = _stochastic(rows, "P")
-        assert (clean >= 0).all()
-        np.testing.assert_allclose(clean.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-        for bad in ([[0.5, 0.5 + 1e-9]], [[1.0 + 1e-9, -1e-9]]):
-            with pytest.raises(NumericalError):
-                _stochastic(np.array(bad), "P")
+
+class TestGapLaws:
+    """One gap's (P, lam) by uniformization, against scipy's expm and the augmented oracle."""
+
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 8.0, 8.5, 47.0, 1e3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_expm_at_any_rate_times_step(self, seed, x):
+        # x = max Q_ii * step; above MAX_JUMPS = 8 the gap is split and squared
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 9))
+        Q = generator_from_rates(
+            m, random_directed_rates(rng, m, lambda: float(rng.uniform(0.5, 2.0))))
+        q = Q.dense()
+        step = x / q.diagonal().max()
+        births = rng.uniform(0.0, 1.0, size=m)
+        P, lam = popsim._gap_laws(q, births, step)
+        assert (P >= 0).all()
+        np.testing.assert_allclose(P, expm(-q * step), rtol=0, atol=1e-13)
+        oracle = augmented_oracle(q, births, np.zeros(m), step)
+        np.testing.assert_allclose(lam, oracle, rtol=0, atol=1e-13 * oracle.sum())
+        P_closed, none = popsim._gap_laws(q, np.zeros(m), step)
+        assert none is None
+        np.testing.assert_array_equal(P_closed, P)
 
 
 BAD_GRIDS = [
@@ -694,17 +710,33 @@ class TestLimitODE:
     def test_one_expm_per_distinct_gap(self, monkeypatch):
         calls = []
 
-        def counted(a):
-            calls.append(a.shape)
-            return expm(a)
+        def counted(q, inflow, step):
+            calls.append((step, bool(inflow.any())))
+            return gap_laws(q, inflow, step)
 
-        monkeypatch.setattr(popsim, "expm", counted)
+        gap_laws = popsim._gap_laws
+        monkeypatch.setattr(popsim, "_gap_laws", counted)
         net = DemographyRates(b=np.full(4, 0.3), d=np.array([0.1, 0.5, 0.3, 0.3]))
-        for demo, every, expected in [(no_demography(4), 0.1, [(4, 4)]),
-                                      (net, 0.3, [(8, 8)] * 2)]:
+        for demo, every, expected in [(no_demography(4), 0.1, [(0.1, False)]),
+                                      (net, 0.3, [(pytest.approx(0.1), True), (0.3, True)])]:
             calls.clear()
             integrate_limit_ode(cycle4_Q(), demo, np.full(4, 0.25), 1.0, snapshot_every=every)
             assert calls == expected
+
+    def test_edgeless_graph_grows_linearly(self):
+        # max Q_ii = 0: nothing moves, and each node gains (b - d) per unit time
+        Q = generator_from_rates(2, {})
+        demo = DemographyRates(b=np.array([0.3, 0.1]), d=np.zeros(2))
+        traj = integrate_limit_ode(Q, demo, [0.5, 0.5], 1.0, snapshot_every=0.5)
+        np.testing.assert_allclose(traj.values, [[0.5, 0.5], [0.65, 0.55], [0.8, 0.6]],
+                                   rtol=0, atol=1e-15)
+
+    def test_stiff_gap_reaches_the_stationary_law(self):
+        # one gap of max Q_ii * step = 2000, summed as 2^8 parts composed by squaring
+        Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0})
+        traj = integrate_limit_ode(Q, no_demography(3), [1.0, 0.0, 0.0], 1000.0,
+                                   snapshot_every=1000.0)
+        np.testing.assert_allclose(traj.values[-1], np.full(3, 1 / 3), rtol=0, atol=1e-13)
 
     def test_equilibrium_is_fixed_point(self):
         Q = cycle4_Q()
