@@ -24,7 +24,6 @@ def _deferred(module, name):
 
 connected_components = _deferred("scipy.sparse.csgraph", "connected_components")
 splu = _deferred("scipy.sparse.linalg", "splu")
-helmert = _deferred("scipy.linalg", "helmert")
 solve_triangular = _deferred("scipy.linalg", "solve_triangular")
 minimize = _deferred("scipy.optimize", "minimize")
 ndtr = _deferred("scipy.special", "ndtr")

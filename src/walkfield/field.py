@@ -11,6 +11,19 @@ Everything runs on one sparse LU of Q' grounded at node 0 (its row and
 column removed), after Rue & Held, Gaussian Markov Random Fields (2005),
 section 2.3: sum-zero solves, field draws and the exact normalizer, with
 no dense eigendecomposition and no jitter on the diagonal.
+
+The minor is ordered symmetrically (minimum degree on A + A') and
+eliminated on its diagonal, with no row interchanges.  That is stable
+here: column j of Q' holds -sum_k alpha_jk on the diagonal and alpha_jk
+off it, so every symmetric reordering of the grounded minor is
+diagonally dominant by columns, and Gaussian elimination on such a
+matrix needs no pivoting and grows its entries by at most a factor 2
+(Higham, Accuracy and Stability of Numerical Algorithms, Thm 9.9).  The
+minor of P = QQ' that log_pseudo_det factors is positive definite.
+
+Right-hand sides reach the LU in blocks of at most BLOCK_VALUES values,
+so a batch of draws streams through a cache-sized buffer instead of
+solving all of its columns in one call.
 """
 
 from __future__ import annotations
@@ -33,6 +46,31 @@ def stationary_precision(Q: GeneratorMatrix) -> sp.csr_matrix:
     return p.tocsr()
 
 
+# Values per block of right-hand sides given to SuperLU's solve.  300 draws
+# (sample_fields, medians of 9, one BLAS thread, 2-vCPU Xeon VM with 2 MiB
+# of L2 per core) took the same time from 2^14 to 2^17 values per block on
+# a 44 x 44 grid, a 2000-node directed stream network and a 1000-node
+# reach: 1.3-1.6x less than in one 300-column call, and 1.2-1.4x less than
+# at 2^18.
+BLOCK_VALUES = 2**16
+
+
+def _block_columns(m: int) -> int:
+    """Columns of length m per block: as many as fit in BLOCK_VALUES, at least 1."""
+    return max(1, BLOCK_VALUES // m)
+
+
+def helmert(m: int) -> np.ndarray:
+    """The (m-1, m) Helmert matrix: orthonormal rows spanning the sum-zero subspace.
+
+    Row k (k = 1..m-1) is k ones, then -k, then zeros, over sqrt(k(k+1));
+    the same values, bit for bit, as scipy.linalg.helmert(m).
+    """
+    k = np.arange(1, m)[:, None]
+    j = np.arange(m)
+    return ((j < k) - k * (j == k)) / np.sqrt(k * (k + 1))
+
+
 class _GroundedLU:
     """Sparse LU of a singular A with 1'A = 0 on a strongly connected graph.
 
@@ -43,10 +81,19 @@ class _GroundedLU:
     v of A with v_0 = 1.  With F an orthonormal basis of the sum-zero
     subspace, det(F'AF) is the product of A's nonzero eigenvalues, the
     trace of adj(A) = det(A0) v 1', so log|det F'AF| = log|det A0| + log|1'v|.
+
+    A0 is factored in SuperLU's symmetric mode: a minimum-degree ordering
+    of A0 + A0' applied to rows and columns alike, and diagonal pivots
+    (perm_r == perm_c).  A0 is diagonally dominant by columns, or positive
+    definite, so no row interchange is needed (see the module docstring);
+    on this pattern the fill is lower than COLAMD's, e.g. 51k against 84k
+    entries of L + U on a 44 x 44 grid.  `a` is a CSR copy of A for the
+    products A x.
     """
 
     def __init__(self, A):
-        self.a = A = sp.csc_matrix(A)  # kept for products with A
+        A = sp.csc_matrix(A)
+        self.a = A.tocsr()
         n_parts, _ = connected_components(A, directed=True, connection="strong")
         if n_parts > 1:
             raise NumericalError(
@@ -54,11 +101,13 @@ class _GroundedLU:
                 "needs an irreducible generator"
             )
         try:
-            self._lu = splu(A[1:, 1:])
+            self._lu = splu(A[1:, 1:], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise NumericalError(f"grounded factorization failed ({exc})") from exc
-        v = np.ones(A.shape[0])
-        v[1:] = self._lu.solve(-A[1:, 0].toarray().ravel())
+        v = np.zeros(A.shape[0])
+        v[0] = 1.0
+        v[1:] = self._lu.solve(-(A @ v)[1:])  # A e_0 is A's column 0
         self._v = v
         self._v_sum = float(v.sum())
         self.logdet = float(np.log(np.abs(self._lu.U.diagonal())).sum()) + math.log(
@@ -67,11 +116,25 @@ class _GroundedLU:
         if not (np.isfinite(v).all() and math.isfinite(self.logdet)):
             raise NumericalError("grounded factorization is numerically singular")
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """x with Ax = r and 1'x = 0, for r (or each column of r) summing to zero."""
-        x = np.zeros_like(r)
-        x[1:] = self._lu.solve(r[1:])
-        x -= np.multiply.outer(self._v, x.sum(axis=0) / self._v_sum)
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x with Ax = r and 1'x = 0, for r (or each column of r) summing to zero.
+
+        The columns go to the LU in blocks of at most BLOCK_VALUES values.
+        Each block's grounded solution y, zero at node 0, is moved onto the
+        sum-zero subspace along v, x = y - v (1'y / 1'v), before the next
+        block is solved.  x is written into `out` when it is given.
+        """
+        x = np.empty_like(r) if out is None else out
+        m = x.shape[0]
+        rows, xs = r.reshape(m, -1), x.reshape(m, -1)  # a vector is one column
+        step = _block_columns(m)
+        for a in range(0, rows.shape[1], step):
+            y = self._lu.solve(rows[1:, a : a + step])
+            shift = y.sum(axis=0) / self._v_sum
+            block = xs[:, a : a + step]
+            block[0] = -shift
+            np.multiply(self._v[1:, None], shift, out=block[1:])
+            np.subtract(y, block[1:], out=block[1:])
         return x
 
 
@@ -103,6 +166,8 @@ def constrained_solve(Q: GeneratorMatrix, r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim not in (1, 2) or r.shape[0] != m:
         raise DataError(f"right-hand side must have {m} rows")
+    if not np.isfinite(r).all():
+        raise DataError("right-hand side r has non-finite entries")
     r_tilde = r - r.mean(axis=0)
     qt = Q.matrix.T
     pi = _GroundedLU(qt).solve(r_tilde)
@@ -154,17 +219,26 @@ def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
 
     gamma ~ N(0, sigma^2 I) conditioned on 1'gamma = 0 (mean subtraction is
     exact for exchangeable Gaussian noise), then pi solves Q'pi = gamma.
-    One RNG stream and one factorization serve every draw.
+    One RNG stream and one factorization serve every draw.  The noise is
+    drawn into one buffer a block of the factor's solve at a time, in the
+    stream order of a single (n_draws, M) draw, and solved into the output.
     """
     if n_draws <= 0:
         raise DataError("n_draws must be positive")
     m = fld.dim
     rng = np.random.default_rng(seed)
-    gamma = rng.normal(0.0, fld.sigma, (n_draws, m))
-    gamma -= gamma.mean(axis=1, keepdims=True)
-    out = fld._factor.solve(gamma.T).T
-    if not np.isfinite(out).all():
-        raise NumericalError("field solve produced non-finite values")
+    out = np.empty((n_draws, m))
+    step = _block_columns(m)
+    buf = np.empty((min(step, n_draws), m))
+    for a in range(0, n_draws, step):
+        gamma = buf[: min(step, n_draws - a)]
+        rng.standard_normal(out=gamma)
+        gamma *= fld.sigma
+        gamma -= gamma.mean(axis=1, keepdims=True)
+        block = out[a : a + len(gamma)]
+        fld._factor.solve(gamma.T, out=block.T)
+        if not np.isfinite(block).all():
+            raise NumericalError("field solve produced non-finite values")
     return out
 
 
@@ -180,7 +254,10 @@ def log_density(pi: np.ndarray, fld: IntrinsicField) -> float:
     m = fld.dim
     if pi.shape != (m,):
         raise DataError(f"field vector must have length {m}")
-    if abs(pi.sum()) > 1e-8 * max(1.0, np.max(np.abs(pi)) * m):
+    hi, lo = float(pi.max()), float(pi.min())  # NaN if any entry is NaN
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise DataError("field vector pi has non-finite entries")
+    if abs(pi.sum()) > 1e-8 * max(1.0, max(hi, -lo) * m):
         raise DataError("field vector violates the sum-to-zero constraint")
     g = fld._factor.a @ pi  # Q'pi
     quad = float(g @ g)

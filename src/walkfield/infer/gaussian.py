@@ -27,9 +27,8 @@ import math
 
 import numpy as np
 
-from .._scipy import helmert
 from ..errors import DataError, NumericalError
-from ..field import constrained_solve, stationary_precision
+from ..field import constrained_solve, helmert, stationary_precision
 from ..graph import GeneratorMatrix, RateModel, check_irreducible
 # build_generator and edge_rates_loglinear are no longer called here; they
 # stay importable under this module, where bench/spans.py wraps them

@@ -50,8 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .._scipy import helmert, ndtr, ndtri, solve_triangular
+from .._scipy import ndtr, ndtri, solve_triangular
 from ..errors import DataError, NumericalError
+from ..field import helmert
 # stationary_precision, build_generator and edge_rates_loglinear are no
 # longer called here; they stay importable under this module, where
 # bench/spans.py wraps them with the other layer calls

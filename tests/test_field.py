@@ -1,6 +1,8 @@
 """Intrinsic field law: precision, pseudo-determinant, constrained solves, density."""
 
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import helmert
 
+import walkfield.field
 from walkfield.datasets import stream_network
 from walkfield.errors import DataError, NumericalError
 from walkfield.field import (
@@ -293,14 +296,15 @@ class TestDirectedAndLongGraphs:
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(np.cov(draws.T) - cov) <= 4.0 * se)
 
-    def test_block_solve_matches_columns(self):
+    def test_block_solve_matches_columns(self, monkeypatch):
         rng = np.random.default_rng(41)
         Q = sym_generator(rng, 9)
-        r = rng.normal(size=(9, 4))
-        block = constrained_solve(Q, r)
-        for k in range(4):
-            np.testing.assert_allclose(block[:, k], constrained_solve(Q, r[:, k]),
-                                       atol=1e-12)
+        r = rng.normal(size=(9, 10))
+        columns = np.column_stack([constrained_solve(Q, r[:, k]) for k in range(10)])
+        # in one block, then in blocks of 3, 3, 3 and 1 columns
+        for block_values in (walkfield.field.BLOCK_VALUES, 3 * Q.dim):
+            monkeypatch.setattr(walkfield.field, "BLOCK_VALUES", block_values)
+            np.testing.assert_allclose(constrained_solve(Q, r), columns, atol=1e-12)
 
     @pytest.mark.parametrize("m", [500, 1000])
     def test_long_two_way_reach(self, m):
@@ -368,3 +372,86 @@ class TestDirectedAndLongGraphs:
             IntrinsicField(Q)
         with pytest.raises(NumericalError):
             constrained_solve(Q, np.array([1.0, -1.0, 2.0, -2.0]))
+
+
+# --- the blocked kernel ----------------------------------------------------
+
+
+def directed_chain():
+    return generator_from_rates(3, {(0, 1): 1.0, (1, 0): 2.0, (1, 2): 0.5, (2, 1): 3.0})
+
+
+class _CountingLU:
+    """Forwards solves to a SuperLU object and records each call's column count."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.widths = []
+
+    def solve(self, b):
+        self.widths.append(b.shape[1])
+        return self.lu.solve(b)
+
+
+class TestBlockedKernel:
+    def test_helmert_is_scipys_bit_for_bit(self):
+        for m in range(2, 65):
+            assert np.array_equal(walkfield.field.helmert(m), helmert(m))
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.37])
+    def test_batch_is_the_noise_stream_solved_block_by_block(self, monkeypatch, sigma):
+        # 4 draws per block: 11 draws take blocks of 4, 4 and 3, and equal one
+        # (11, M) normal draw, mean-subtracted row by row, solved a block at a time
+        g = stream_network()
+        fld = IntrinsicField(build_generator(g, edge_rates_loglinear(
+            g, RateParams((0.0, 1.0, -1.0)))), sigma=sigma)
+        monkeypatch.setattr(walkfield.field, "BLOCK_VALUES", 4 * fld.dim)
+        counting = _CountingLU(fld._factor._lu)
+        monkeypatch.setattr(fld._factor, "_lu", counting)
+        batch = sample_fields(fld, 11, seed=5)
+        assert counting.widths == [4, 4, 3]
+        gamma = np.random.default_rng(5).normal(0.0, sigma, (11, fld.dim))
+        gamma -= gamma.mean(axis=1, keepdims=True)
+        blocks = [fld._factor.solve(gamma[a : a + 4].T).T for a in (0, 4, 8)]
+        assert np.array_equal(batch, np.vstack(blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(Q=directed_generators())
+    def test_minor_is_eliminated_on_its_diagonal(self, Q):
+        # one-way edges make the pattern unsymmetric; the ordering is still
+        # applied to rows and columns alike, with no row interchange
+        fld = IntrinsicField(Q)
+        for factor in (fld._factor, _GroundedLU(stationary_precision(Q))):
+            assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+        assert fld.logpdet == pytest.approx(dense_restricted_logdet(Q.dense()), abs=1e-9)
+
+    def test_draws_need_little_memory_beyond_the_output(self):
+        m = 2000
+        fld = IntrinsicField(generator_from_rates(m, {
+            **{(i, i + 1): 1.0 for i in range(m - 1)},
+            **{(i + 1, i): 1.0 for i in range(m - 1)}}))
+        tracemalloc.start()
+        try:
+            draws = sample_fields(fld, 3000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * draws.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_is_a_data_error(self, bad):
+        r = np.array([1.0, bad, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="right-hand side r"):
+                constrained_solve(directed_chain(), r)
+            with pytest.raises(DataError, match="right-hand side r"):
+                constrained_solve(directed_chain(), np.column_stack([r[::-1], r]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_vector_is_a_data_error(self, bad):
+        fld = IntrinsicField(directed_chain())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="field vector pi"):
+                log_density(np.array([1.0, bad, -1.0]), fld)

@@ -80,6 +80,24 @@ def test_fit_loads_no_scipy_special(tmp_path):
         assert (tmp_path / model / "summary.json").is_file()
 
 
+def test_spatial_fit_loads_no_scipy_linalg(tmp_path):
+    # the sum-zero Helmert basis is built in numpy and the spatial model
+    # solves nothing sparse, so its fit never imports scipy.linalg
+    cfg = tmp_path / "spatial.cfg"
+    cfg.write_text("fixture=columbus\nmodel=spatial\niterations=200\nburnin=50\n")
+    code = (
+        "import sys\nfrom walkfield.cli import main\n"
+        f"print(main(['fit', '--config', {str(cfg)!r}, '--seed', '1', '--out', "
+        f"{str(tmp_path / 'fit')!r}, '--quiet']))\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+                         timeout=120).stdout
+    assert out.split() == ["0", "False"]
+    assert (tmp_path / "fit" / "summary.json").is_file()
+
+
 def test_population_commands_load_no_scipy_linalg(tmp_path):
     # every gap law is summed by uniformization in numpy, so neither the ODE,
     # nor the death-free snapshot sampler, nor a convergence study with deaths
