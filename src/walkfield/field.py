@@ -22,8 +22,8 @@ matrix needs no pivoting and grows its entries by at most a factor 2
 minor of P = QQ' that log_pseudo_det factors is positive definite.
 
 Right-hand sides reach the LU in blocks of at most BLOCK_VALUES values,
-so a batch of draws streams through a cache-sized buffer instead of
-solving all of its columns in one call.
+so a batch of draws is solved in place a cache-sized block at a time
+instead of in one call on all of its columns.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def stationary_precision(Q: GeneratorMatrix) -> sp.csr_matrix:
 # reach: 1.3-1.6x less than in one 300-column call, and 1.2-1.4x less than
 # at 2^18.
 BLOCK_VALUES = 2**16
-
-
-def _block_columns(m: int) -> int:
-    """Columns of length m per block: as many as fit in BLOCK_VALUES, at least 1."""
-    return max(1, BLOCK_VALUES // m)
 
 
 def helmert(m: int) -> np.ndarray:
@@ -119,15 +114,18 @@ class _GroundedLU:
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x with Ax = r and 1'x = 0, for r (or each column of r) summing to zero.
 
-        The columns go to the LU in blocks of at most BLOCK_VALUES values.
-        Each block's grounded solution y, zero at node 0, is moved onto the
-        sum-zero subspace along v, x = y - v (1'y / 1'v), before the next
-        block is solved.  x is written into `out` when it is given.
+        The columns go to the LU in blocks of at most BLOCK_VALUES values
+        (at least one column).  Each block's grounded solution y, zero at
+        node 0, is moved onto the sum-zero subspace along v,
+        x = y - v (1'y / 1'v), before the next block is solved.  x is
+        written into `out` when it is given, which may be r itself: a
+        block's rows 1..M-1 are read into SuperLU's fresh result y, and
+        row 0 is never read, before that block is written.
         """
         x = np.empty_like(r) if out is None else out
         m = x.shape[0]
         rows, xs = r.reshape(m, -1), x.reshape(m, -1)  # a vector is one column
-        step = _block_columns(m)
+        step = max(1, BLOCK_VALUES // m)
         for a in range(0, rows.shape[1], step):
             y = self._lu.solve(rows[1:, a : a + step])
             shift = y.sum(axis=0) / self._v_sum
@@ -142,7 +140,11 @@ def log_pseudo_det(P) -> float:
     """Log product of the nonzero eigenvalues of a PSD matrix with null vector 1.
 
     Runs on the grounded sparse LU of P.  A P whose pattern falls apart into
-    several components has more than one null direction and raises.
+    several components has more than one null direction and raises.  For
+    P = QQ' the factor's condition number is Q's squared, and so is the
+    error: 2.6e-8 on a 1000-node unit reach, where IntrinsicField(Q).logpdet,
+    from the factor of Q' itself, is off by 2.5e-13.  Callers that have Q
+    should read logpdet.
     """
     P = sp.csc_matrix(P, dtype=float)
     if np.max(np.abs(P @ np.ones(P.shape[0]))) > 1e-8 * max(1.0, abs(P).max()):
@@ -220,25 +222,16 @@ def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
     gamma ~ N(0, sigma^2 I) conditioned on 1'gamma = 0 (mean subtraction is
     exact for exchangeable Gaussian noise), then pi solves Q'pi = gamma.
     One RNG stream and one factorization serve every draw.  The noise is
-    drawn into one buffer a block of the factor's solve at a time, in the
-    stream order of a single (n_draws, M) draw, and solved into the output.
+    drawn into the output itself, which the factor then solves in place.
     """
     if n_draws <= 0:
         raise DataError("n_draws must be positive")
-    m = fld.dim
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_draws, m))
-    step = _block_columns(m)
-    buf = np.empty((min(step, n_draws), m))
-    for a in range(0, n_draws, step):
-        gamma = buf[: min(step, n_draws - a)]
-        rng.standard_normal(out=gamma)
-        gamma *= fld.sigma
-        gamma -= gamma.mean(axis=1, keepdims=True)
-        block = out[a : a + len(gamma)]
-        fld._factor.solve(gamma.T, out=block.T)
-        if not np.isfinite(block).all():
-            raise NumericalError("field solve produced non-finite values")
+    out = np.random.default_rng(seed).standard_normal((n_draws, fld.dim))
+    out *= fld.sigma
+    out -= out.mean(axis=1, keepdims=True)
+    fld._factor.solve(out.T, out=out.T)
+    if not (math.isfinite(out.max()) and math.isfinite(out.min())):  # NaN if any entry is NaN
+        raise NumericalError("field solve produced non-finite values")
     return out
 
 

@@ -204,7 +204,10 @@ def _gap_laws(q: np.ndarray, inflow: np.ndarray, step: float):
     bounds G's relative error too, and run by Horner with the tail summed
     from the small end: P is nonnegative exactly, with nothing to clip.  A
     gap with x above MAX_JUMPS is cut into 2^s equal parts joined by
-    lam <- lam + lam P and P <- P P.  lam is None when ``inflow`` is zero.
+    lam <- lam + lam P and P <- P P.  Every row of exp(-q step) sums to 1,
+    and each squaring would double its row-sum round-off, so P's rows are
+    scaled back to unit sums after every squaring.  lam is None when
+    ``inflow`` is zero.
     """
     m = q.shape[0]
     inflows = inflow.any()
@@ -230,6 +233,7 @@ def _gap_laws(q: np.ndarray, inflow: np.ndarray, step: float):
     for _ in range(s):
         lam += lam @ P
         P = P @ P
+        P /= P.sum(axis=1, keepdims=True)
     return P, (lam if inflows else None)
 
 

@@ -455,3 +455,33 @@ class TestBlockedKernel:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="field vector pi"):
                 log_density(np.array([1.0, bad, -1.0]), fld)
+
+
+class _NaNLU:
+    """Stands in for the SuperLU object: every solve returns NaN."""
+
+    def solve(self, b):
+        return np.full(b.shape, np.nan)
+
+
+def _non_finite_draws():
+    fld = IntrinsicField(directed_chain())
+    fld._factor._lu = _NaNLU()
+    sample_fields(fld, 2, seed=0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: constrained_solve(directed_chain(), np.ones(4)),
+                 DataError, "must have 3 rows", id="constrained_solve-rows"),
+    pytest.param(lambda: sample_fields(IntrinsicField(directed_chain()), 0, seed=0),
+                 DataError, "n_draws must be positive", id="sample_fields-no-draws"),
+    pytest.param(_non_finite_draws, NumericalError, "non-finite values",
+                 id="sample_fields-non-finite-solve"),
+    pytest.param(lambda: log_density(np.zeros(4), IntrinsicField(directed_chain())),
+                 DataError, "length 3", id="log_density-length"),
+    pytest.param(lambda: log_pseudo_det(np.array([[2.0, -1.0], [-2.0, 2.0]])),
+                 DataError, "annihilate the constant", id="log_pseudo_det-P1"),
+])
+def test_rejects_bad_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1,6 +1,7 @@
 """Gaussian-response samplers: design handling, prior recovery, posterior checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,25 @@ def test_chain_length_counts_the_kept_sweeps():
         assert chain_length(iterations, burnin, thin) == len(range(burnin, iterations, thin))
     s = fit_gaussian(directed_cycle_spec(), iterations=20, burnin=5, seed=0, thin=4)
     assert s.n_draws == chain_length(20, 5, 4) == 4
+
+
+def _two_paths():
+    # two 3-node paths with no edge between them: Q is reducible
+    edges = [Edge(i, j, EdgeCovariates(1.0))
+             for a, b in [(0, 1), (1, 2), (3, 4), (4, 5)] for i, j in [(a, b), (b, a)]]
+    return SpatialGraph(6, tuple(f"n{i}" for i in range(6)), tuple(edges))
+
+
+@pytest.mark.parametrize("spec, match", [
+    pytest.param(lambda: GaussianModelSpec(response=np.arange(6.0), covariate=np.arange(6.0),
+                                           variant=SPATIAL, graph=_two_paths()),
+                 "must be connected", id="disconnected-graph"),
+    pytest.param(lambda: replace(directed_cycle_spec(), covariate=np.full(6, 2.5)),
+                 "covariate is constant; cannot standardize", id="constant-covariate"),
+])
+def test_fit_gaussian_rejects_bad_models(spec, match):
+    with pytest.raises(DataError, match=match):
+        fit_gaussian(spec(), iterations=20, burnin=5, seed=0)
 
 
 class TestDirectedGraph:

@@ -28,7 +28,7 @@ from walkfield.infer.genetics import (
     simulate_genetics,
     truncated_normal,
 )
-from walkfield.infer.specs import GeneticsModelSpec, PriorSpec
+from walkfield.infer.specs import GeneticsModelSpec, PosteriorSamples, PriorSpec
 
 
 class TestTruncatedNormal:
@@ -148,6 +148,38 @@ class TestSpecValidation:
                 alleles=(np.zeros((2, 2), dtype=int),),
                 n_categories=(2,),
             )
+
+
+def _one_way_into_a_pair():
+    # node 0 reaches the pair {1, 2} and nothing returns: Q is reducible
+    edges = tuple(Edge(i, j, EdgeCovariates(1.0)) for i, j in [(0, 1), (1, 2), (2, 1)])
+    return SpatialGraph(3, ("a", "b", "c"), edges)
+
+
+def _genetics_spec(graph=None, nodes=(0, 1), alleles=None, n_categories=(2,)):
+    graph = stream_network() if graph is None else graph
+    alleles = (np.zeros((len(nodes), 2), dtype=int),) if alleles is None else alleles
+    return GeneticsModelSpec(graph=graph, node_of_individual=np.array(nodes, dtype=int),
+                             alleles=alleles, n_categories=n_categories)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: fit_probit_genetics(_genetics_spec(_one_way_into_a_pair()), 10, 2, 0),
+                 "irreducible under the rate model", id="reducible-graph"),
+    pytest.param(lambda: _genetics_spec(nodes=(), alleles=(np.zeros((0, 2), dtype=int),)),
+                 "nonempty vector", id="no-individuals"),
+    pytest.param(lambda: _genetics_spec(n_categories=(2, 3)),
+                 "align per locus", id="misaligned-loci"),
+    pytest.param(lambda: _genetics_spec(alleles=(np.zeros((2, 3), dtype=int),)),
+                 r"allele array must be \(n_individuals, 2\)", id="three-alleles"),
+    pytest.param(lambda: _genetics_spec(alleles=(np.zeros((3, 2), dtype=int),)),
+                 r"allele array must be \(n_individuals, 2\)", id="extra-individual"),
+    pytest.param(lambda: PosteriorSamples(("a", "b"), np.zeros((3, 2)), np.zeros(2), {}),
+                 "log-likelihood length", id="short-loglik"),
+])
+def test_rejects_bad_inputs(build, match):
+    with pytest.raises(DataError, match=match):
+        build()
 
 
 @pytest.fixture(scope="module")

@@ -86,6 +86,24 @@ class TestGraphValidation:
             SpatialGraph(node_count=2, labels=("a", "b"),
                          edges=(Edge(0, 5, cov),))
 
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: SpatialGraph(node_count=0, labels=(), edges=()),
+                     "at least one node", id="no-nodes"),
+        pytest.param(lambda: SpatialGraph(node_count=2, labels=("a",), edges=()),
+                     "label count", id="one-label-short"),
+        pytest.param(lambda: SpatialGraph(node_count=2, labels=("a", "b"), edges=(),
+                                          coords=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))),
+                     "coordinate count", id="one-coordinate-over"),
+        pytest.param(lambda: build_generator(line_graph(3), {(0, 2): 1.0}),
+                     r"rate given for \(0, 2\), which is not an edge", id="rate-off-the-graph"),
+        pytest.param(lambda: to_sar(generator_from_rates(3, {(0, 1): 1.0, (1, 0): 1.0,
+                                                             (1, 2): 1.0})),
+                     "node 2 has no out-edges", id="sar-of-a-sink"),
+    ])
+    def test_rejects_bad_inputs(self, call, match):
+        with pytest.raises(DataError, match=match):
+            call()
+
 
 class TestLogLinearRates:
     def test_hand_value(self):

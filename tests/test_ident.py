@@ -96,6 +96,11 @@ class TestConfoundedPair:
         with pytest.raises(DataError):
             construct_confounded_pair([1.0, 2.0])
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_rejects_a_rate_that_is_not_positive(self, rate):
+        with pytest.raises(DataError, match="strictly positive"):
+            construct_confounded_pair([1.0, rate, 2.0])
+
 
 class TestVerifyUnique:
     def test_unique_on_branching_graph(self):

@@ -655,6 +655,30 @@ class TestRejectsBadInputs:
         with pytest.raises(DataError, match="z0 must be finite"):
             convergence_gap(two_node_Q(), demo, z0, 1.0, N_list=[10], replicates=1, seed=0)
 
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: DemographyRates(b=np.zeros(3), d=np.zeros(2)),
+                     "1-d arrays of equal length", id="b-d-lengths"),
+        pytest.param(lambda: DemographyRates(b=np.zeros((2, 2)), d=np.zeros((2, 2))),
+                     "1-d arrays of equal length", id="matrix-rates"),
+        pytest.param(lambda: DemographyRates(b=np.array([np.nan, 0.1]), d=np.zeros(2)),
+                     "rates must be finite", id="nan-birth"),
+        pytest.param(lambda: DemographyRates(b=np.zeros(2), d=np.array([0.1, np.inf])),
+                     "rates must be finite", id="inf-death"),
+        pytest.param(lambda: DemographyRates(b=np.array([-0.1, 0.1]), d=np.zeros(2)),
+                     "rates must be nonnegative", id="negative-birth"),
+        pytest.param(lambda: DemographyRates(b=np.zeros(2), d=np.array([0.1, -0.1])),
+                     "rates must be nonnegative", id="negative-death"),
+        pytest.param(lambda: simulate_population(two_node_Q(), no_demography(2), [5, 3, 2], 10,
+                                                 1.0, 0, 0.5),
+                     r"n0 must have length M=2, got shape \(3,\)", id="n0-length"),
+        pytest.param(lambda: integrate_limit_ode(two_node_Q(), no_demography(2), [0.5, 0.3, 0.2],
+                                                 1.0, snapshot_every=0.5),
+                     "z0 must have length M", id="z0-length"),
+    ])
+    def test_rejects_bad_inputs(self, call, match):
+        with pytest.raises(DataError, match=match):
+            call()
+
 
 def augmented_oracle(q, drift, z0, t):
     """z(t) of dz/dt = -q'z + drift, read off expm([[-q' t, drift t], [0, 0]]) @ [z0; 1]."""
@@ -736,6 +760,14 @@ class TestLimitODE:
         Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0})
         traj = integrate_limit_ode(Q, no_demography(3), [1.0, 0.0, 0.0], 1000.0,
                                    snapshot_every=1000.0)
+        np.testing.assert_allclose(traj.values[-1], np.full(3, 1 / 3), rtol=0, atol=1e-13)
+
+    def test_very_long_gap_keeps_its_mass(self):
+        # max Q_ii * step = 2e9, 2^28 parts: each squaring would double the
+        # row-sum round-off of P if its rows were not scaled back to sum 1
+        Q = generator_from_rates(3, {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0})
+        traj = integrate_limit_ode(Q, no_demography(3), [1.0, 0.0, 0.0], 1e9, snapshot_every=1e9)
+        assert abs(traj.values[-1].sum() - 1.0) <= 1e-13
         np.testing.assert_allclose(traj.values[-1], np.full(3, 1 / 3), rtol=0, atol=1e-13)
 
     def test_equilibrium_is_fixed_point(self):
