@@ -23,12 +23,15 @@ minor of P = QQ' that log_pseudo_det factors is positive definite.
 
 Right-hand sides reach the LU in blocks of at most BLOCK_VALUES values,
 so a batch of draws is solved in place a cache-sized block at a time
-instead of in one call on all of its columns.
+instead of in one call on all of its columns.  sample_fields overlaps
+the two calls that release the GIL: a helper thread solves block k
+while the caller draws block k+1's noise.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,14 +225,32 @@ def sample_fields(fld: IntrinsicField, n_draws: int, seed: int) -> np.ndarray:
     gamma ~ N(0, sigma^2 I) conditioned on 1'gamma = 0 (mean subtraction is
     exact for exchangeable Gaussian noise), then pi solves Q'pi = gamma.
     One RNG stream and one factorization serve every draw.  The noise is
-    drawn into the output itself, which the factor then solves in place.
+    drawn into the output a block of BLOCK_VALUES // M rows at a time (the
+    same stream as one (n_draws, M) draw), and each block is solved in
+    place, in order.  With more than one block, one helper thread solves
+    block k while this one draws block k+1; this one solves the last.
     """
     if n_draws <= 0:
         raise DataError("n_draws must be positive")
-    out = np.random.default_rng(seed).standard_normal((n_draws, fld.dim))
-    out *= fld.sigma
-    out -= out.mean(axis=1, keepdims=True)
-    fld._factor.solve(out.T, out=out.T)
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_draws, fld.dim))
+    step = max(1, BLOCK_VALUES // fld.dim)
+
+    def noise(a):  # the right-hand sides of the block at row a
+        rows = out[a : a + step]
+        rng.standard_normal(out=rows)
+        rows *= fld.sigma
+        rows -= rows.mean(axis=1, keepdims=True)
+        return rows.T
+
+    block = noise(0)
+    if n_draws > step:
+        with ThreadPoolExecutor(max_workers=1) as helper:  # joined on exit, errors too
+            for a in range(step, n_draws, step):
+                job = helper.submit(fld._factor.solve, block, block)
+                block = noise(a)
+                job.result()
+    fld._factor.solve(block, out=block)
     if not (math.isfinite(out.max()) and math.isfinite(out.min())):  # NaN if any entry is NaN
         raise NumericalError("field solve produced non-finite values")
     return out
@@ -247,10 +268,12 @@ def log_density(pi: np.ndarray, fld: IntrinsicField) -> float:
     m = fld.dim
     if pi.shape != (m,):
         raise DataError(f"field vector must have length {m}")
-    hi, lo = float(pi.max()), float(pi.min())  # NaN if any entry is NaN
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, with no warning
+        total = float(pi.sum())  # NaN or inf if any entry is
+    if not math.isfinite(total) and not np.isfinite(pi).all():
         raise DataError("field vector pi has non-finite entries")
-    if abs(pi.sum()) > 1e-8 * max(1.0, max(hi, -lo) * m):
+    # the bound is at least 1e-8: max|pi| is needed only above that
+    if abs(total) > 1e-8 and abs(total) > 1e-8 * max(1.0, max(pi.max(), -pi.min()) * m):
         raise DataError("field vector violates the sum-to-zero constraint")
     g = fld._factor.a @ pi  # Q'pi
     quad = float(g @ g)

@@ -1,6 +1,8 @@
 """Intrinsic field law: precision, pseudo-determinant, constrained solves, density."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -223,6 +225,25 @@ class TestLogDensity:
         fld = IntrinsicField(Q)
         with pytest.raises(DataError):
             log_density(np.array([1.0, 1.0]), fld)
+
+    @pytest.mark.parametrize("share, accepted", [(0.99, True), (1.01, False)])
+    def test_sum_bound_scales_above_its_floor(self, share, accepted):
+        # |sum| above the 1e-8 floor is held to 1e-8 * M * max|pi| = 1.92e-6
+        pi = np.array([64.0, -32.0, -32.0])
+        pi[0] += share * 1e-8 * 3 * 64.0
+        assert abs(pi.sum()) > 1e-8
+        fld = IntrinsicField(directed_chain())
+        if accepted:
+            assert math.isfinite(log_density(pi, fld))
+        else:
+            with pytest.raises(DataError, match="sum-to-zero"):
+                log_density(pi, fld)
+
+    def test_opposite_infinities_are_a_data_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="field vector pi"):
+                log_density(np.array([np.inf, -np.inf, 0.0]), IntrinsicField(directed_chain()))
 
 
 # --- directed and long graphs against dense oracles ----------------------
@@ -455,6 +476,113 @@ class TestBlockedKernel:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="field vector pi"):
                 log_density(np.array([1.0, bad, -1.0]), fld)
+
+
+class _ThreadRecordingLU:
+    """Forwards solves to a SuperLU object and records the thread of each;
+    solve number `fail_at` (from 1) raises instead."""
+
+    def __init__(self, lu, fail_at=None):
+        self.lu = lu
+        self.fail_at = fail_at
+        self.threads = []
+
+    def solve(self, b):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("stand-in solve failed")
+        return self.lu.solve(b)
+
+
+def dendritic_generator(n_main=40, n_trib=49, trib_len=40):
+    """2000 nodes: a mainstem with tributaries of 40 nodes joining it at even
+    spacing, with rate 2 toward the mouth (node 0) and 1 away from it."""
+    pairs = [(i, i + 1) for i in range(n_main - 1)]
+    top = n_main
+    for t in range(n_trib):
+        below = (t * n_main) // n_trib
+        for _ in range(trib_len):
+            pairs.append((below, top))
+            below, top = top, top + 1
+    rates = {}
+    for lo, hi in pairs:
+        rates[(hi, lo)], rates[(lo, hi)] = 2.0, 1.0
+    return generator_from_rates(top, rates)
+
+
+def three_block_field(monkeypatch):
+    """A field on the 30-node stream whose 11 draws take blocks of 4, 4 and 3."""
+    g = stream_network()
+    fld = IntrinsicField(build_generator(g, edge_rates_loglinear(
+        g, RateParams((0.0, 1.0, -1.0)))))
+    monkeypatch.setattr(walkfield.field, "BLOCK_VALUES", 4 * fld.dim)
+    return fld
+
+
+def serial_draws(fld, n_draws, seed):
+    """sample_fields' draws from one (n_draws, M) normal draw, solved a block at a time."""
+    step = walkfield.field.BLOCK_VALUES // fld.dim
+    gamma = np.random.default_rng(seed).normal(0.0, fld.sigma, (n_draws, fld.dim))
+    gamma -= gamma.mean(axis=1, keepdims=True)
+    return [fld._factor.solve(gamma[a : a + step].T).T for a in range(0, n_draws, step)]
+
+
+class TestPipelinedDraws:
+    def test_benchmark_shape_is_the_serial_block_loop(self):
+        # 300 draws at M = 2000 take nine blocks of 32 and one of 12
+        fld = IntrinsicField(dendritic_generator(), sigma=1.3)
+        assert walkfield.field.BLOCK_VALUES // fld.dim == 32
+        blocks = serial_draws(fld, 300, seed=11)
+        assert [len(b) for b in blocks] == [32] * 9 + [12]
+        assert np.array_equal(sample_fields(fld, 300, seed=11), np.vstack(blocks))
+
+    def test_concurrent_callers_match_the_serial_loop(self, monkeypatch):
+        # four callers with a helper each, on a short switch interval
+        fields = [three_block_field(monkeypatch) for _ in range(4)]
+        results = [[] for _ in fields]
+
+        def call(k):
+            for seed in range(20):
+                results[k].append(sample_fields(fields[k], 11, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for fld, draws in zip(fields, results):
+            assert len(draws) == 20
+            for seed, batch in enumerate(draws):
+                assert np.array_equal(batch, np.vstack(serial_draws(fld, 11, seed)))
+
+    def test_one_block_is_solved_on_the_calling_thread(self, monkeypatch):
+        fld = three_block_field(monkeypatch)
+        recording = _ThreadRecordingLU(fld._factor._lu)
+        monkeypatch.setattr(fld._factor, "_lu", recording)
+        caller = threading.current_thread()
+        sample_fields(fld, 4, seed=0)
+        assert recording.threads == [caller]
+        # with three blocks, a helper solves the first two and the caller the last
+        recording.threads.clear()
+        sample_fields(fld, 11, seed=0)
+        assert [t is caller for t in recording.threads] == [False, False, True]
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        fld = three_block_field(monkeypatch)
+        before = threading.active_count()
+        sample_fields(fld, 11, seed=0)
+        assert threading.active_count() == before
+        # the helper's failure on block 2 reaches the caller, and the helper is joined
+        monkeypatch.setattr(fld._factor, "_lu", _ThreadRecordingLU(fld._factor._lu, fail_at=2))
+        with pytest.raises(RuntimeError, match="stand-in solve failed"):
+            sample_fields(fld, 11, seed=0)
+        assert threading.active_count() == before
 
 
 class _NaNLU:
