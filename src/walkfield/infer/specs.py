@@ -169,18 +169,15 @@ class PosteriorSamples:
         return dict(zip(self.names, mu))
 
     def summary(self) -> dict:
-        qs = np.quantile(self.draws, [0.025, 0.5, 0.975], axis=0)
-        out = {}
-        for j, name in enumerate(self.names):
-            col = self.draws[:, j]
-            out[name] = {
-                "mean": float(col.mean()),
-                "sd": float(col.std(ddof=1)) if col.size > 1 else None,
-                "q025": float(qs[0, j]),
-                "q50": float(qs[1, j]),
-                "q975": float(qs[2, j]),
-            }
-        return out
+        # one row per parameter: each reduction runs along contiguous rows,
+        # which gives the per-column 1-D reductions' values bit for bit
+        cols = np.ascontiguousarray(self.draws.T)
+        sds = (cols.std(axis=1, ddof=1).tolist() if self.n_draws > 1
+               else [None] * len(self.names))
+        rows = zip(self.names, cols.mean(axis=1).tolist(), sds,
+                   *np.quantile(cols, [0.025, 0.5, 0.975], axis=1).tolist())
+        return {name: {"mean": mean, "sd": sd, "q025": q025, "q50": q50, "q975": q975}
+                for name, mean, sd, q025, q50, q975 in rows}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import json
 import time
 import warnings
 from io import StringIO
-from itertools import chain
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,9 @@ from .graph import Edge, EdgeCovariates, SpatialGraph
 from .infer.specs import PosteriorSamples
 
 RESERVED_EDGE_COLS = ("from", "to", "distance", "downstream", "barrier")
+# rows that _write_float_rows encodes at a time: the text of a chunk, not of
+# the whole table, is held in memory
+CSV_CHUNK_ROWS = 256
 
 
 @contextlib.contextmanager
@@ -174,17 +177,22 @@ def _write_float_rows(path, header, rows) -> bytes:
     """CSV with a header and one line per row; floats written with repr.
 
     The lines match ``csv.writer`` over ``repr(float(v))`` cells: no float
-    repr holds a delimiter or quote, so no cell needs quoting.  Returns the
-    SHA-256 digest of the bytes written.
+    repr holds a delimiter or quote, so no cell needs quoting.  Each chunk
+    of ``CSV_CHUNK_ROWS`` rows is encoded once, then written and hashed.
+    Returns the SHA-256 digest of the bytes written.
     """
     head = StringIO()
     csv.writer(head).writerow(header)
     h = hashlib.sha256()
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        lines = (",".join(map(repr, row)) + "\r\n" for row in rows)
-        for line in chain([head.getvalue()], lines):
-            f.write(line)
-            h.update(line.encode())
+    rows = iter(rows)
+    with open(path, "wb") as f:
+        text = head.getvalue()
+        while text:
+            data = text.encode()
+            f.write(data)
+            h.update(data)
+            text = "".join([",".join(map(repr, row)) + "\r\n"
+                            for row in islice(rows, CSV_CHUNK_ROWS)])
     return h.digest()
 
 

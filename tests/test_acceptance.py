@@ -5,8 +5,9 @@ Columbus crime fits against the exact posterior of the documented model
 (with the published reference values kept on record), the SAR identity,
 the confounded-pair construction, the large-population limit, the field
 law against dense oracles, genetics posterior recovery on a synthetic
-stream network, the prior-sampling audit of the Gibbs sweeps, and CLI
-determinism.  These are intentionally slower than the unit tests.
+stream network, Geweke's test of the Gaussian sweep and the prior-sampling
+audit of the genetics sweep, and CLI determinism.  These are intentionally
+slower than the unit tests.
 """
 
 import json
@@ -348,7 +349,7 @@ def test_genetics_recovers_downstream_dominance():
     assert float((b1 > 0).mean()) > 0.9
 
 
-# --- 7. Prior-recovery audit of the Gibbs sweeps -------------------------
+# --- 7. Geweke's test and the prior-recovery audit of the Gibbs sweeps ---
 
 
 def batch_se(x, n_batches=100):
@@ -359,40 +360,40 @@ def batch_se(x, n_batches=100):
 
 
 def test_gaussian_sweep_prior_audit():
-    # Likelihood disabled: each update must return its own prior.  The
-    # noise-variance prior is tightened to an inverse-gamma with finite
-    # mean and variance so moments are checkable.
-    rng = np.random.default_rng(0)
-    m = 4
-    priors = PriorSpec(regression_sd=100.0, re_sd_scale=100.0,
-                       tau2_shape=3.0, tau2_scale=4.0)
+    # Geweke's joint-distribution test (Geweke, JASA 99 (2004), "Getting it
+    # right"): from a prior draw of theta, alternate simulating the response
+    # given theta and one Gibbs sweep given the response.  The theta
+    # marginal must stay the prior, with every data term of the sweep live.
+    # Seven prior moments, one of them E[eta'QQ'eta] = M - 1, are checked by
+    # batch-means z-scores over 100 batches.  Under a correct sweep each z
+    # is close to Student's t with 99 degrees of freedom, so the bound
+    # |z| < 3 fails a correct sweep at about 1 seed in 40 (7 moments at
+    # 0.34% each; 2 of 60 seeds when measured).
+    from test_gaussian import geweke_chain
     from test_graph import line_graph
+    rng = np.random.default_rng(0)
+    m = 6
+    priors = PriorSpec(regression_sd=1.0, re_sd_scale=1.0,
+                       tau2_shape=3.0, tau2_scale=1.0)
     spec = GaussianModelSpec(
         response=rng.normal(size=m), covariate=rng.normal(size=m),
         variant=SPATIAL, graph=line_graph(m), priors=priors,
     )
-    n = 100000
-    s = fit_gaussian(spec, iterations=n + 1, burnin=1, seed=SEED,
-                     include_likelihood=False)
-    for name in ("mu", "beta"):
-        x = s.column(name)
-        se_mean = 100.0 / math.sqrt(n)
-        assert abs(x.mean()) < 3.0 * se_mean
-        se_var = 100.0**2 * math.sqrt(2.0 / (n - 1))
-        assert abs(x.var(ddof=1) - 100.0**2) < 3.0 * se_var
-    sig = s.column("sigma")
-    hn_mean = 100.0 * math.sqrt(2.0 / math.pi)
-    hn_sd = 100.0 * math.sqrt(1.0 - 2.0 / math.pi)
-    assert abs(sig.mean() - hn_mean) < 3.0 * hn_sd / math.sqrt(n)
-    # the sigma draws are iid here: the sample variance has sd
-    # sqrt((mu4 - sd^4) / n), mu4 the half-normal's fourth central moment
-    mu4 = 100.0**4 * (3.0 - 4.0 / math.pi - 12.0 / math.pi**2)
-    assert abs(sig.var(ddof=1) - hn_sd**2) < 3.0 * math.sqrt((mu4 - hn_sd**4) / n)
-    tau2 = s.column("tau") ** 2
-    # IG(3, 4): mean 2, variance 4; the variance estimator of a heavy-tailed
-    # draw is noisy, so bound it with its own batch-means error
-    assert abs(tau2.mean() - 2.0) < 3.0 * batch_se(tau2)
-    assert abs(tau2.var(ddof=1) - 4.0) < 3.0 * batch_se((tau2 - 2.0) ** 2)
+    draws, ws, model = geweke_chain(spec, n=50000, seed=SEED)
+    mu, beta, sigma, tau2 = draws.T
+    moments = {
+        "mu": (mu, 0.0),
+        "mu^2": (mu**2, 1.0),
+        "beta": (beta, 0.0),
+        "beta^2": (beta**2, 1.0),
+        "sigma": (sigma, math.sqrt(2.0 / math.pi)),
+        # IG(3, 1): mean 1/2
+        "tau^2": (tau2, 0.5),
+        # w ~ N(0, diag(1/d_pos)): eta'QQ'eta = sum(d_pos * w^2) has mean M - 1
+        "eta'QQ'eta": ((model.d_pos * ws**2).sum(axis=1), m - 1.0),
+    }
+    z = {name: (x.mean() - expected) / batch_se(x) for name, (x, expected) in moments.items()}
+    assert max(abs(v) for v in z.values()) < 3.0, z
 
 
 def test_genetics_sweep_prior_audit():

@@ -17,7 +17,9 @@ from walkfield.infer.gaussian import (
     _positive_normal,
     fit_gaussian,
     gaussian_loglik_fn,
+    gibbs_sweep,
     graph_generator,
+    sweep_model,
 )
 from walkfield.infer.genetics import _robert_tail
 from walkfield.infer.specs import (
@@ -124,53 +126,86 @@ class TestSamplerBasics:
         np.testing.assert_allclose(etas.sum(axis=1), np.zeros(s.n_draws), atol=1e-8)
 
     def test_loglik_column_matches_recomputation(self, columbus):
-        spec = make_spec(columbus, SPATIAL)
-        s = fit_gaussian(spec, iterations=300, burnin=200, seed=4)
-        fn = gaussian_loglik_fn(spec)
-        for k in (0, 50, 99):
-            params = dict(zip(s.names, s.draws[k]))
-            assert s.loglik[k] == pytest.approx(fn(params), abs=1e-8)
+        # the sweep sums the residual in the eigen-coordinates; every kept
+        # row must match the node-space residual
+        for spec in (make_spec(columbus, SPATIAL), make_spec(columbus, DIFFUSION),
+                     directed_cycle_spec()):
+            s = fit_gaussian(spec, iterations=300, burnin=200, seed=4)
+            fn = gaussian_loglik_fn(spec)
+            for draw, loglik in zip(s.draws, s.loglik):
+                assert loglik == pytest.approx(fn(dict(zip(s.names, draw))), abs=1e-8)
+
+
+def geweke_chain(spec, n, seed):
+    """Geweke's successive-conditional simulator (Geweke, JASA 99 (2004),
+    "Getting it right") for ``gibbs_sweep``.
+
+    Draws theta = (mu, beta, w, sigma, tau2) from the prior of ``spec``, then
+    n times simulates c ~ N(mu + beta*x + sigma*U w, tau2 I) and takes one
+    sweep of theta given c; ``spec.response`` is not read.  If the sweep
+    leaves each posterior invariant, every theta has the prior law, with
+    every data term of the sweep live.  Returns the n states as rows of
+    (mu, beta, sigma, tau2), their w rows, and the sweep model.
+    """
+    model = sweep_model(spec)
+    pr = spec.priors
+    m = model.x.size
+    rng = np.random.default_rng(seed)
+    state = (pr.regression_sd * rng.standard_normal(),
+             pr.regression_sd * rng.standard_normal(),
+             rng.standard_normal(m - 1) / np.sqrt(model.d_pos),
+             pr.re_sd_scale * abs(rng.standard_normal()),
+             pr.tau2_scale / rng.gamma(pr.tau2_shape))
+    scalars = np.empty((n, 4))
+    ws = np.empty((n, m - 1))
+    for k in range(n):
+        mu, beta, w, sigma, tau2 = state
+        c = (mu + beta * model.x + sigma * (model.U @ w)
+             + math.sqrt(tau2) * rng.standard_normal(m))
+        state, _ = gibbs_sweep(rng, state, model, model.data(c))
+        mu, beta, w, sigma, tau2 = state
+        scalars[k] = mu, beta, sigma, tau2
+        ws[k] = w
+    return scalars, ws, model
 
 
 class TestPriorRecovery:
-    """With the likelihood disabled every update must sample its prior."""
+    """Geweke's test: with data simulated afresh from each draw, every
+    update must keep its prior."""
 
-    def test_regression_and_sigma_priors(self, columbus):
+    def test_regression_and_sigma_priors(self):
+        # prior scales other than 1, so a variance read for an sd shows; on
+        # the directed 6-cycle the data are weak enough for the chain to mix
+        # within a few dozen sweeps
         priors = PriorSpec(regression_sd=2.0, re_sd_scale=1.5,
                            tau2_shape=3.0, tau2_scale=4.0)
-        spec = make_spec(columbus, SPATIAL, priors=priors)
-        s = fit_gaussian(spec, iterations=21000, burnin=1000, seed=11,
-                         include_likelihood=False)
-        n = s.n_draws
-        for name, prior_sd in (("mu", 2.0), ("beta", 2.0)):
-            col = s.column(name)
-            se = prior_sd / np.sqrt(n)  # conservative: ignores autocorrelation
+        draws, _, _ = geweke_chain(replace(directed_cycle_spec(), priors=priors),
+                                   n=60000, seed=11)
+        n = len(draws)
+        for col, prior_sd in ((draws[:, 0], 2.0), (draws[:, 1], 2.0)):
+            se = prior_sd / np.sqrt(n)  # ignores autocorrelation
             assert abs(col.mean()) < 6 * se + 0.05 * prior_sd
             assert col.std() == pytest.approx(prior_sd, rel=0.1)
         # half-normal(1.5): mean = 1.5*sqrt(2/pi)
-        sig = s.column("sigma")
-        assert sig.mean() == pytest.approx(1.5 * np.sqrt(2 / np.pi), rel=0.1)
+        assert draws[:, 2].mean() == pytest.approx(1.5 * np.sqrt(2 / np.pi), rel=0.1)
         # IG(3, 4) on tau^2: mean 2, sd 2
-        tau2 = s.column("tau") ** 2
-        assert tau2.mean() == pytest.approx(2.0, rel=0.15)
+        assert draws[:, 3].mean() == pytest.approx(2.0, rel=0.15)
 
     def test_eta_prior_covariance(self, columbus):
-        # proper tau2 prior: the IG(0.01, 0.01) default has no moments to audit
-        priors = PriorSpec(tau2_shape=3.0, tau2_scale=4.0)
-        spec = make_spec(columbus, SPATIAL, priors=priors)
-        s = fit_gaussian(spec, iterations=6000, burnin=1000, seed=13,
-                         include_likelihood=False)
-        from walkfield.field import stationary_precision
-
-        P = stationary_precision(graph_generator(spec.graph)).toarray()
+        # proper priors: the IG(0.01, 0.01) default has no moments to audit,
+        # and under the sd-100 defaults the data pin eta, so the chain would
+        # not move.  A small sigma scale leaves the data weak enough for
+        # nearly independent draws, so plain MC error applies
+        priors = PriorSpec(regression_sd=2.0, re_sd_scale=0.3,
+                           tau2_shape=3.0, tau2_scale=4.0)
+        _, ws, model = geweke_chain(make_spec(columbus, SPATIAL, priors=priors),
+                                    n=10000, seed=13)
+        P = stationary_precision(graph_generator(columbus[0])).toarray()
         evals, evecs = np.linalg.eigh(P)
         marg_var = np.einsum("ij,j,ij->i", evecs[:, 1:], 1.0 / evals[1:],
                              evecs[:, 1:])
-        m = spec.graph.node_count
-        etas = s.draws[:, [s.names.index(f"eta_{i}") for i in range(m)]]
-        emp = etas.var(axis=0)
-        # prior draws are iid across iterations here, so plain MC error applies
-        np.testing.assert_allclose(emp, marg_var, rtol=0.15)
+        etas = ws @ model.U.T
+        np.testing.assert_allclose(etas.var(axis=0), marg_var, rtol=0.15)
 
 
 class TestPosteriorRecovery:
@@ -272,7 +307,6 @@ def _reference_fit_gaussian(
     burnin: int,
     seed: int,
     thin: int = 1,
-    include_likelihood: bool = True,
 ) -> PosteriorSamples:
     """The sampler before the closed-form (mu, beta) step and the block of
     noise, frozen as the oracle with the exact sigma draw restated from its
@@ -296,7 +330,6 @@ def _reference_fit_gaussian(
 
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(m), x])
-    like = 1.0 if include_likelihood else 0.0
 
     # initialization: least squares for (mu, beta), eta = 0, tau2 at residual variance
     coef, *_ = np.linalg.lstsq(X, c, rcond=None)
@@ -318,8 +351,8 @@ def _reference_fit_gaussian(
 
         # (mu, beta): conjugate bivariate Gaussian
         y_reg = c - sigma * eta
-        A = like * (X.T @ X) / tau2 + prior_prec_reg * np.eye(2)
-        bvec = like * (X.T @ y_reg) / tau2
+        A = (X.T @ X) / tau2 + prior_prec_reg * np.eye(2)
+        bvec = (X.T @ y_reg) / tau2
         chol = np.linalg.cholesky(A)
         mean_reg = np.linalg.solve(A, bvec)
         z2 = rng.standard_normal(2)
@@ -329,15 +362,15 @@ def _reference_fit_gaussian(
         # eta coordinates: independent in the eigenbasis
         y_eta = c - mu - beta * x
         proj = U.T @ y_eta
-        prec_w = d_pos + like * sigma * sigma / tau2
-        mean_w = like * (sigma / tau2) * proj / prec_w
+        prec_w = d_pos + sigma * sigma / tau2
+        mean_w = (sigma / tau2) * proj / prec_w
         w = mean_w + rng.standard_normal(m - 1) / np.sqrt(prec_w)
         eta = U @ w
 
         # sigma | rest ~ N(m, v) truncated to sigma > 0, where the half-normal
         # prior contributes precision 1/s^2: x ~ N(0, 1) beyond a = -m/sqrt(v)
-        prec_s = like * float(eta @ eta) / tau2 + 1.0 / pr.re_sd_scale**2
-        m_s = like * float(eta @ y_eta) / tau2 / prec_s
+        prec_s = float(eta @ eta) / tau2 + 1.0 / pr.re_sd_scale**2
+        m_s = float(eta @ y_eta) / tau2 / prec_s
         sd_s = 1.0 / math.sqrt(prec_s)
         a = -m_s / sd_s
         if a < 0.0:
@@ -351,14 +384,11 @@ def _reference_fit_gaussian(
 
         # tau2: conjugate inverse-gamma
         resid = c - mu - beta * x - sigma * eta
-        shape = pr.tau2_shape + like * 0.5 * m
-        rate = pr.tau2_scale + like * 0.5 * float(resid @ resid)
+        shape = pr.tau2_shape + 0.5 * m
+        rate = pr.tau2_scale + 0.5 * float(resid @ resid)
         gdraw = rng.gamma(shape, 1.0 / rate)
         if gdraw <= 0.0:
-            raise NumericalError(
-                f"inverse-gamma draw underflowed (shape={shape:g}); "
-                "shapes this small are only reachable in prior-only runs"
-            )
+            raise NumericalError(f"inverse-gamma draw underflowed to 0 (shape={shape:g})")
         tau2 = 1.0 / gdraw
 
         if it >= burnin and (it - burnin) % thin == 0:
@@ -379,7 +409,6 @@ def _reference_fit_gaussian(
         "burnin": burnin,
         "thin": thin,
         "variant": spec.variant,
-        "include_likelihood": include_likelihood,
     }
     return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)
 
@@ -411,14 +440,6 @@ class TestAgainstReferenceSampler:
     def test_thinned(self, columbus):
         _assert_same_chain(make_spec(columbus, SPATIAL), iterations=1200, burnin=300,
                            seed=23, thin=3)
-
-    def test_prior_mode_is_bitwise(self, columbus):
-        spec = make_spec(columbus, SPATIAL,
-                         priors=PriorSpec(tau2_shape=3.0, tau2_scale=4.0))
-        s, ref = _assert_same_chain(spec, iterations=2000, burnin=500, seed=24,
-                                    include_likelihood=False)
-        np.testing.assert_array_equal(s.draws, ref.draws)
-        np.testing.assert_array_equal(s.loglik, ref.loglik)
 
     def test_directed_cycle(self):
         _assert_same_chain(directed_cycle_spec(), iterations=2000, burnin=500, seed=1)

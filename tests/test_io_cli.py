@@ -171,11 +171,19 @@ def _csv_reference(header, rows):
 
 
 def test_writers_match_csv_reference_on_extreme_values(tmp_path):
+    # 600 mixed rows cross two chunk boundaries of the writer (256 rows each)
+    for n_mixed in (6, 600):
+        _check_writers_on_extreme_values(tmp_path / str(n_mixed), n_mixed)
+
+
+def _check_writers_on_extreme_values(out, n_mixed):
+    out.mkdir()
     rng = np.random.default_rng(12)
-    mixed = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))
+    mixed = (rng.normal(size=(n_mixed, 5))
+             * 10.0 ** rng.integers(-300, 300, size=(n_mixed, 5)))
     block = np.vstack([np.resize(EXTREME, (len(EXTREME), 5)), mixed])
     s = PosteriorSamples(("mu", "beta", "sigma", "tau"), block[:, :4], block[:, 4], {})
-    path = tmp_path / "samples.csv"
+    path = out / "samples.csv"
     write_samples_csv(s, path)
     assert path.read_bytes() == _csv_reference(
         ["mu", "beta", "sigma", "tau", "log_likelihood"], block.tolist())
@@ -185,12 +193,12 @@ def test_writers_match_csv_reference_on_extreme_values(tmp_path):
     assert back.loglik.tobytes() == s.loglik.tobytes()
 
     traj = PopulationTrajectory(times=block[:, 0], values=block[:, 1:], kind="density")
-    path = tmp_path / "trajectory.csv"
+    path = out / "trajectory.csv"
     write_trajectory_csv(traj, path)
     assert path.read_bytes() == _csv_reference(
         ["t"] + [f"node_{i}" for i in range(4)], block.tolist())
 
-    path = tmp_path / "field.csv"
+    path = out / "field.csv"
     write_field_csv(block[:, 2], path)
     assert path.read_bytes() == _csv_reference(
         ["node_id", "value"], [[i, v] for i, v in enumerate(block[:, 2])])
@@ -226,7 +234,7 @@ def _random_table(seed, rows, cols):
     return table
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 2), (1, 9), (40, 3), (300, 12)])
+@pytest.mark.parametrize("rows, cols", [(1, 2), (1, 9), (40, 3), (300, 12), (513, 4)])
 def test_sidecar_hit_is_the_parse_bit_for_bit(tmp_path, rows, cols):
     table = _random_table(rows * cols, rows, cols)
     s = PosteriorSamples(tuple(f"p{j}" for j in range(cols - 1)), table[:, :-1],
@@ -654,6 +662,31 @@ def test_summary_of_one_draw_has_null_sd():
     assert summary["mu"] == {"mean": 1.5, "sd": None, "q025": 1.5, "q50": 1.5, "q975": 1.5}
     assert summary["beta"]["sd"] is None
     json.dumps(summary, allow_nan=False)
+
+
+def _summary_reference(samples):
+    """``PosteriorSamples.summary`` as a loop over the draw matrix's columns."""
+    qs = np.quantile(samples.draws, [0.025, 0.5, 0.975], axis=0)
+    out = {}
+    for j, name in enumerate(samples.names):
+        col = samples.draws[:, j]
+        out[name] = {
+            "mean": float(col.mean()),
+            "sd": float(col.std(ddof=1)) if col.size > 1 else None,
+            "q025": float(qs[0, j]),
+            "q50": float(qs[1, j]),
+            "q975": float(qs[2, j]),
+        }
+    return out
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 3), (2, 1), (37, 5), (2500, 53)])
+def test_summary_matches_the_per_column_loop(rows, cols):
+    # the serialized form, so that equal values written differently show
+    rng = np.random.default_rng(rows * cols)
+    draws = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-5, 5, size=cols)
+    s = PosteriorSamples(tuple(f"p{j}" for j in range(cols)), draws, np.zeros(rows), {})
+    assert json.dumps(s.summary()) == json.dumps(_summary_reference(s))
 
 
 def test_cli_fit_keeping_one_draw_writes_valid_json(tmp_path):
