@@ -40,12 +40,24 @@ category.  Each entry is summed over its own quadrature nodes, so its bits
 do not depend on the other rows; the sums over individuals run per (locus,
 ploidy) in individual order.  ``genetics_loglik_fn`` evaluates it for any
 {name: value} draw, so ``compute_dic`` takes a genetics fit.
+
+The sampler hands each due evaluation to one helper thread: it queues the
+index of the kept row as soon as the row is stored and sweeps on, and the
+helper reads (mu, eta) back from that row, the floats the sweep held.
+Most of an evaluation is ``ndtr``, which releases the GIL, so the two
+threads overlap.  After the last sweep the caller evaluates the rest of
+the queue alongside the helper and joins it.  Each evaluation is the same
+computation on the same floats, so the log-likelihoods do not depend on
+the thread or the order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -209,7 +221,8 @@ def category_probs(means: np.ndarray, category=None) -> np.ndarray:
     do not depend on the other rows of the call.  With ``category``, one
     index per row, only that category's probability is formed and the
     result has one value per row; a rival mean of -inf then contributes
-    Phi(inf) = 1, which pads a row with fewer categories exactly.
+    Phi(inf) = 1, which pads a row with fewer categories exactly.  Rows
+    have at least two columns.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
     n, k = means.shape
@@ -224,7 +237,12 @@ def category_probs(means: np.ndarray, category=None) -> np.ndarray:
     # t + m_k - m_a for every (row, rival, node)
     f = (means[rows, cats][:, None] - means[rows[:, None], rivals])[:, :, None] + nodes
     ndtr(f, out=f)
-    p = (np.multiply.reduce(f, axis=1) * weights).sum(axis=-1)
+    # the product over rivals, in place in the first rival's slice: the
+    # bits of np.multiply.reduce(f, axis=1), without its temporary
+    p = f[:, 0]
+    for a in range(1, k - 1):
+        p *= f[:, a]
+    p = (p * weights).sum(axis=-1)
     return p if category is not None else p.reshape(n, k)
 
 
@@ -375,6 +393,35 @@ def simulate_genetics(
     return spec, truth
 
 
+@contextlib.contextmanager
+def _evaluated_behind(evaluate):
+    """Yield ``post(k)``, which queues ``evaluate(k)`` for one helper thread.
+
+    The helper evaluates the posted indices in order while the caller goes
+    on.  On exit the caller posts the end markers and evaluates the rest of
+    the queue alongside the helper, then joins it; an exception in either
+    thread reaches the caller.  When the caller's block raises, the helper
+    finishes the queue alone and is joined before the exception leaves.
+    The queue holds indices only, so memory does not grow with the backlog.
+    """
+    due = queue.SimpleQueue()
+
+    def drain():
+        while (k := due.get()) is not None:
+            evaluate(k)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:  # joined on exit, errors too
+        job = helper.submit(drain)
+        try:
+            yield due.put
+        finally:
+            # one end marker for the helper, one for the caller's share
+            due.put(None)
+            due.put(None)
+        drain()
+        job.result()  # the helper's exception, if it raised one
+
+
 def fit_probit_genetics(
     spec: GeneticsModelSpec,
     iterations: int,
@@ -390,11 +437,13 @@ def fit_probit_genetics(
     over category-max probabilities, once per distinct observed (occupied
     node, field) pair (used for diagnostics, not for any update;
     ``genetics_loglik_fn`` is the same evaluation over a named draw).  It
-    is evaluated at every
-    ``compute_loglik_every``-th kept draw; the rows between carry the last
-    evaluated value forward.  ``include_likelihood=False`` freezes the
+    is evaluated at every ``compute_loglik_every``-th kept draw, by one
+    helper thread while the sweeps go on, and by this thread too once they
+    end; the rows between carry the last evaluated value forward.  The
+    helper is joined before the call returns or raises, and an exception
+    in it reaches the caller.  ``include_likelihood=False`` freezes the
     latents out of every update, reducing each step to its prior (Gibbs
-    audit mode), and leaves every log-likelihood at 0.  The metadata record
+    audit mode), starts no thread and leaves every log-likelihood at 0.  The metadata record
     the beta acceptance rate, the proposals rejected on a
     ``NumericalError``, the final beta step, ``beta_step``, which stops
     adapting at the end of burn-in, and ``compute_loglik_every``.
@@ -452,7 +501,7 @@ def fit_probit_genetics(
         names += [f"eta_{l}_{kk}_{s}" for kk in range(k) for s in range(m)]
 
     draws = np.empty((n_keep, len(names)))
-    logliks = np.empty(n_keep)
+    logliks = np.zeros(n_keep)
     kept = 0
     acc = 0
     rejected = 0  # beta proposals refused on a NumericalError
@@ -460,9 +509,18 @@ def fit_probit_genetics(
     mu_prec = like * 2.0 * n_ind + 1.0 / pr.mu_lk_sd**2
     loglik_const = 0.5 * n_fields * 2.0 * n_ind * math.log(2.0 * math.pi)
     allele_loglik = _AlleleLoglik(spec)
+    n_mu = free_mu.size
+
+    def evaluate(k):
+        """Row k's log-likelihood, from (mu, eta) read back from the stored
+        draw: the floats the sweep held."""
+        mu_k = np.zeros(n_fields)
+        mu_k[free_mu] = draws[k, n_beta:n_beta + n_mu]
+        logliks[k] = allele_loglik(mu_k, draws[k, n_beta + n_mu:].reshape(n_fields, m).T)
 
     def collapsed_loglik(b, Ft, vv):
-        """Log p(z | mu, beta) with every spatial field integrated out.
+        """Log p(z | mu, beta) with every spatial field integrated out, and
+        the solve L^-1 Ft for b's factor L, which the field step reuses.
 
         Per field the latents are N(mu, G Sigma G' + I) for the
         node-to-slot incidence G and Sigma the sum-zero-constrained inverse
@@ -472,81 +530,87 @@ def fit_probit_genetics(
         """
         w = solve_triangular(b.cap_chol, Ft, lower=True, check_finite=False)
         quad = vv - float(np.einsum("ij,ij->", w, w))
-        return -0.5 * quad - 0.5 * n_fields * b.logdet_c - loglik_const
+        return -0.5 * quad - 0.5 * n_fields * b.logdet_c - loglik_const, w
 
     z_flat = z.reshape(-1)
-    for it in range(iterations):
-        if include_likelihood:
-            # latent utilities: truncated-normal Gibbs keeping the observed
-            # category's latent maximal in its block
-            means = (mu[None, :] + eta[s_of_ind, :]).ravel()
-            _latent_sweep(rng, sweep_plan, z_flat, means)
-
-        # allele intercepts: conjugate Gaussian, mu_l0 pinned at zero
-        noise = rng.standard_normal(free_mu.size)
-        if include_likelihood:
-            resid = z[free_mu] - eta.T[free_mu][:, s_of_ind, None]
-            mean_mu = resid.reshape(free_mu.size, n_slots).sum(axis=1) / mu_prec
-            mu[free_mu] = mean_mu + noise / math.sqrt(mu_prec)
-            zc = (z - mu[:, None, None]).reshape(n_fields, n_slots)
-            node_sums = np.bincount(
-                field_bins, weights=zc.ravel(), minlength=n_fields * m
-            ).reshape(n_fields, m).T
-            Ft = F.T @ node_sums
-            vv = float(np.einsum("ij,ij->", zc, zc))
-        else:
-            mu[free_mu] = noise / math.sqrt(mu_prec)
-
-        # rate coefficients: random-walk Metropolis on the collapsed model
-        # (fields integrated out of the latent likelihood); the fields are
-        # redrawn from their full conditional immediately after, so the
-        # sweep is a valid partially collapsed Gibbs sampler.  Conditioning
-        # on the fields instead would pin beta to the realized field
-        # texture and freeze the chain.
-        prop = beta + math.exp(log_scale) * rng.standard_normal(n_beta)
-        logprior_cur = -0.5 * float(beta @ beta) / pr.rate_beta_sd**2
-        logprior_prop = -0.5 * float(prop @ prop) / pr.rate_beta_sd**2
-        try:
-            bundle_prop = _precision_bundle(rate_model, prop, F, K_slots)
+    # the helper evaluates the due rows while this thread sweeps on
+    behind = _evaluated_behind(evaluate) if include_likelihood else contextlib.nullcontext()
+    with behind as post_due:
+        for it in range(iterations):
             if include_likelihood:
-                ratio = (
-                    collapsed_loglik(bundle_prop, Ft, vv) + logprior_prop
-                    - collapsed_loglik(bundle, Ft, vv) - logprior_cur
-                )
-            else:
-                ratio = logprior_prop - logprior_cur
-            accept = math.log(rng.random()) < ratio
-        except NumericalError:
-            accept = False
-            rejected += 1
-        if accept:
-            beta = prop
-            bundle = bundle_prop
-            acc += 1
-        if it < burnin:
-            gain = 1.0 / math.sqrt(it + 1.0)
-            log_scale += gain * ((1.0 if accept else 0.0) - BETA_TARGET_ACC)
+                # latent utilities: truncated-normal Gibbs keeping the observed
+                # category's latent maximal in its block
+                means = (mu[None, :] + eta[s_of_ind, :]).ravel()
+                _latent_sweep(rng, sweep_plan, z_flat, means)
 
-        # spatial fields: eta = F w with w ~ N(A^-1 Ft, A^-1) for the
-        # collapsed precision A = F'PF + F'G'GF, every field in one solve
-        # against the current beta's factor
-        w = rng.standard_normal((n_fields, m - 1)).T
-        if include_likelihood:
-            w += solve_triangular(bundle.cap_chol, Ft, lower=True, check_finite=False)
-        w = solve_triangular(bundle.cap_chol, w, lower=True, trans="T", check_finite=False)
-        eta = F @ w
-
-        if it >= burnin and (it - burnin) % thin == 0:
-            draws[kept, :n_beta] = beta
-            draws[kept, n_beta:n_beta + free_mu.size] = mu[free_mu]
-            draws[kept, n_beta + free_mu.size:] = eta.T.ravel()
-            if include_likelihood and kept % compute_loglik_every == 0:
-                logliks[kept] = allele_loglik(mu, eta)
-            elif kept > 0:
-                logliks[kept] = logliks[kept - 1]
+            # allele intercepts: conjugate Gaussian, mu_l0 pinned at zero
+            noise = rng.standard_normal(n_mu)
+            if include_likelihood:
+                resid = z[free_mu] - eta.T[free_mu][:, s_of_ind, None]
+                mean_mu = resid.reshape(n_mu, n_slots).sum(axis=1) / mu_prec
+                mu[free_mu] = mean_mu + noise / math.sqrt(mu_prec)
+                zc = (z - mu[:, None, None]).reshape(n_fields, n_slots)
+                node_sums = np.bincount(
+                    field_bins, weights=zc.ravel(), minlength=n_fields * m
+                ).reshape(n_fields, m).T
+                Ft = F.T @ node_sums
+                vv = float(np.einsum("ij,ij->", zc, zc))
             else:
-                logliks[kept] = 0.0
-            kept += 1
+                mu[free_mu] = noise / math.sqrt(mu_prec)
+
+            # rate coefficients: random-walk Metropolis on the collapsed model
+            # (fields integrated out of the latent likelihood); the fields are
+            # redrawn from their full conditional immediately after, so the
+            # sweep is a valid partially collapsed Gibbs sampler.  Conditioning
+            # on the fields instead would pin beta to the realized field
+            # texture and freeze the chain.
+            prop = beta + math.exp(log_scale) * rng.standard_normal(n_beta)
+            logprior_cur = -0.5 * float(beta @ beta) / pr.rate_beta_sd**2
+            logprior_prop = -0.5 * float(prop @ prop) / pr.rate_beta_sd**2
+            solved = solved_prop = None  # L^-1 Ft for the current and the proposed factor
+            try:
+                bundle_prop = _precision_bundle(rate_model, prop, F, K_slots)
+                if include_likelihood:
+                    loglik_prop, solved_prop = collapsed_loglik(bundle_prop, Ft, vv)
+                    loglik_cur, solved = collapsed_loglik(bundle, Ft, vv)
+                    ratio = loglik_prop + logprior_prop - loglik_cur - logprior_cur
+                else:
+                    ratio = logprior_prop - logprior_cur
+                accept = math.log(rng.random()) < ratio
+            except NumericalError:
+                accept = False
+                rejected += 1
+            if accept:
+                beta = prop
+                bundle = bundle_prop
+                solved = solved_prop
+                acc += 1
+            if it < burnin:
+                gain = 1.0 / math.sqrt(it + 1.0)
+                log_scale += gain * ((1.0 if accept else 0.0) - BETA_TARGET_ACC)
+
+            # spatial fields: eta = F w with w ~ N(A^-1 Ft, A^-1) for the
+            # collapsed precision A = F'PF + F'G'GF, every field in one solve
+            # against the current beta's factor
+            w = rng.standard_normal((n_fields, m - 1)).T
+            if include_likelihood:
+                if solved is None:  # the proposal's bundle could not be formed
+                    solved = solve_triangular(bundle.cap_chol, Ft, lower=True,
+                                              check_finite=False)
+                w += solved
+            w = solve_triangular(bundle.cap_chol, w, lower=True, trans="T",
+                                 check_finite=False)
+            eta = F @ w
+
+            if it >= burnin and (it - burnin) % thin == 0:
+                draws[kept, :n_beta] = beta
+                draws[kept, n_beta:n_beta + n_mu] = mu[free_mu]
+                draws[kept, n_beta + n_mu:] = eta.T.ravel()
+                if include_likelihood and kept % compute_loglik_every == 0:
+                    post_due(kept)
+                kept += 1
+    # the rows between evaluations repeat the last evaluated value
+    logliks = logliks[np.arange(kept) // compute_loglik_every * compute_loglik_every]
 
     meta = {
         "seed": seed,
@@ -559,4 +623,4 @@ def fit_probit_genetics(
         "include_likelihood": include_likelihood,
         "compute_loglik_every": compute_loglik_every,
     }
-    return PosteriorSamples(tuple(names), draws[:kept], logliks[:kept], meta)
+    return PosteriorSamples(tuple(names), draws[:kept], logliks, meta)

@@ -1,6 +1,8 @@
 """Probit-genetics components: truncated normals, category probabilities, sampler."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from walkfield.graph import (
 )
 from walkfield.infer import compute_dic, genetics
 from walkfield.infer.genetics import (
+    _AlleleLoglik,
     category_probs,
     fit_probit_genetics,
     genetics_loglik_fn,
@@ -1030,3 +1033,193 @@ class TestGeneticsLoglik:
         dic = compute_dic(samples, genetics_loglik_fn(spec))
         assert dic.dbar == float(np.mean(-2.0 * samples.loglik))
         assert math.isfinite(dic.d_at_mean) and math.isfinite(dic.dic)
+
+
+def _reduce_category_probs(means, category=None):
+    """``category_probs`` with the rival product as one np.multiply.reduce."""
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    n, k = means.shape
+    if category is None:
+        rows, cats = np.divmod(np.arange(n * k), k)
+    else:
+        rows, cats = np.arange(n), np.asarray(category)
+    cols = np.arange(k - 1)
+    rivals = cols + (cols >= cats[:, None])
+    nodes, weights = genetics._gauss_hermite()
+    f = ndtr((means[rows, cats][:, None] - means[rows[:, None], rivals])[:, :, None] + nodes)
+    p = (np.multiply.reduce(f, axis=1) * weights).sum(axis=-1)
+    return p if category is not None else p.reshape(n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_rival_product_is_the_reduce(k):
+    rng = np.random.default_rng(70 + k)
+    means = rng.normal(scale=2.0, size=(50, k))
+    assert np.array_equal(category_probs(means), _reduce_category_probs(means))
+    # rows of fewer categories padded with -inf rivals, one category per row
+    padded = means.copy()
+    short = rng.integers(1, k, size=50)  # the row's last real category
+    padded[np.arange(k) > short[:, None]] = -np.inf
+    cats = rng.integers(0, short + 1)
+    assert np.isneginf(padded).any() or k == 2
+    assert np.array_equal(category_probs(padded, cats), _reduce_category_probs(padded, cats))
+
+
+def _serial_logliks(spec, samples, every):
+    """Each due row's log-likelihood by a serial ``_AlleleLoglik``, with
+    (mu, eta) laid out as the sweep holds them."""
+    n_fields = sum(spec.n_categories)
+    m = spec.graph.node_count
+    n_beta = 3 + len(spec.extra_rate_names)
+    pinned = np.cumsum(spec.n_categories) - spec.n_categories  # mu_l0 columns
+    free = np.setdiff1d(np.arange(n_fields), pinned)
+    evaluate = _AlleleLoglik(spec)
+    out = []
+    for row in samples.draws[::every]:
+        mu = np.zeros(n_fields)
+        mu[free] = row[n_beta:n_beta + free.size]
+        eta = np.ascontiguousarray(row[n_beta + free.size:].reshape(n_fields, m).T)
+        out.append(evaluate(mu, eta))
+    return np.array(out)
+
+
+class TestLoglikHelper:
+    """The helper thread that evaluates each due row's log-likelihood."""
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("thin", [1, 2])
+    def test_equals_a_serial_evaluation_of_each_due_row(self, small_sim, every, thin):
+        spec, _ = small_sim
+        s = fit_probit_genetics(spec, iterations=50, burnin=20, seed=8, thin=thin,
+                                compute_loglik_every=every)
+        due = _serial_logliks(spec, s, every)
+        assert np.array_equal(s.loglik[::every], due)
+        # the rows between repeat the last evaluated value
+        assert np.array_equal(s.loglik, np.repeat(due, every)[:s.n_draws])
+
+    def test_concurrent_callers_match_the_serial_result(self, small_sim):
+        # four callers with a helper each, on a short switch interval
+        spec, _ = small_sim
+        kw = dict(iterations=25, burnin=5, compute_loglik_every=2)
+        serial = [fit_probit_genetics(spec, seed=seed, **kw) for seed in range(3)]
+        results = [[] for _ in range(4)]
+
+        def call(k):
+            for seed in range(3):
+                results[k].append(fit_probit_genetics(spec, seed=seed, **kw))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for fits in results:
+            assert len(fits) == 3
+            for got, want in zip(fits, serial):
+                assert np.array_equal(got.draws, want.draws)
+                assert np.array_equal(got.loglik, want.loglik)
+        assert np.array_equal(serial[0].loglik[::2], _serial_logliks(spec, serial[0], 2))
+
+    def test_an_evaluation_error_reaches_the_caller(self, small_sim, monkeypatch):
+        spec, _ = small_sim
+        kernel = genetics.category_probs
+        calls = []
+
+        def failing(means, category=None):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise RuntimeError("stand-in evaluation failed")
+            return kernel(means, category)
+
+        monkeypatch.setattr(genetics, "category_probs", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="stand-in evaluation failed"):
+            fit_probit_genetics(spec, iterations=30, burnin=10, seed=1)
+        assert threading.active_count() == before
+
+    def test_a_sweep_error_reaches_the_caller(self, small_sim, monkeypatch):
+        spec, _ = small_sim
+        sweep = genetics._latent_sweep
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 6:  # iteration 5
+                raise RuntimeError("stand-in sweep failed")
+            return sweep(*args)
+
+        monkeypatch.setattr(genetics, "_latent_sweep", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="stand-in sweep failed"):
+            fit_probit_genetics(spec, iterations=30, burnin=2, seed=1)
+        assert threading.active_count() == before
+
+    def test_prior_mode_starts_no_thread(self, small_sim, monkeypatch):
+        spec, _ = small_sim
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        s = fit_probit_genetics(spec, iterations=30, burnin=10, seed=1,
+                                include_likelihood=False)
+        assert started == []
+        assert not s.loglik.any()
+        fit_probit_genetics(spec, iterations=30, burnin=10, seed=1)
+        assert len(started) == 1
+
+
+def test_field_step_reuses_the_kept_bundles_solve(small_sim, monkeypatch):
+    # every third beta proposal fails to form: those sweeps solve L^-1 Ft once
+    # more for the field step, the others reuse the Metropolis step's solve
+    spec, _ = small_sim
+    real = genetics._precision_bundle
+    bundles = []
+
+    def failing(*args):
+        bundles.append(None)
+        if len(bundles) % 3 == 0:
+            raise NumericalError("injected")
+        return real(*args)
+
+    solves = []
+    solve = genetics.solve_triangular
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(genetics, "_precision_bundle", failing)
+    monkeypatch.setattr(genetics, "solve_triangular", counted)
+    s = fit_probit_genetics(spec, iterations=30, burnin=10, seed=2)
+    raised = s.metadata["rejected_proposals"]
+    assert raised == 10
+    # formed: two Metropolis solves and the field's back-substitution
+    assert len(solves) == 3 * (30 - raised) + 2 * raised
+
+
+def test_failed_proposals_keep_the_reference_chain(small_sim, monkeypatch):
+    # the same proposals fail in both samplers: the field step then solves
+    # against the kept bundle afresh
+    spec, _ = small_sim
+    for module, name in ((genetics, "_precision_bundle"),
+                         (sys.modules[__name__], "_ref_precision_bundle")):
+        calls = []
+
+        def failing(*args, real=getattr(module, name), calls=calls):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise NumericalError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, failing)
+    _assert_same_chain(spec, iterations=40, burnin=10, seed=2)
