@@ -1,9 +1,10 @@
 """Identifiability of Q from QQ'.
 
-An irreducible generator is recoverable from QQ' whenever some row has two
-or more positive rates.  The single exception is the deterministic loop: a
-one-directional cycle, whose reversal produces a distinct generator with
-the same QQ'.
+:func:`check_identifiable` calls an irreducible generator identifiable from
+QQ' when some row has two or more positive rates, and otherwise a
+deterministic loop: a one-directional cycle, whose reversal is a distinct
+generator with the same QQ'.  The first rule is not a theorem: a converging
+least-squares search refutes it on 7-8 of 12 random graphs (see :func:`verify_unique`).
 """
 
 from __future__ import annotations
@@ -82,12 +83,9 @@ def check_identifiable(Q: GeneratorMatrix) -> IdentifiabilityReport:
         return IdentifiabilityReport(IDENTIFIABLE, witness_row=int(witnesses[0]))
     # every row has exactly one exit and the graph is strongly connected:
     # the support is a single directed Hamiltonian cycle
-    nxt = {i: int(np.flatnonzero(supp[i])[0]) for i in range(Q.dim)}
+    nxt = supp.argmax(axis=1)  # each row's one exit
     cycle = [0]
-    while True:
-        j = nxt[cycle[-1]]
-        if j == 0:
-            break
+    while (j := int(nxt[cycle[-1]])) != 0:
         cycle.append(j)
     return IdentifiabilityReport(LOOP, cycle_order=tuple(cycle))
 
@@ -112,18 +110,6 @@ def construct_confounded_pair(rates):
     return q, w
 
 
-def _fill_generator(logrates, off, rate, w):
-    """Dense W = diag(rowsum) - rate into ``w``, from log-rates on the ``off`` mask.
-
-    ``off`` is the off-diagonal mask, filled in row-major order, which is
-    the order of ``pairs`` in :func:`verify_unique`.  ``rate`` is a zeroed
-    work array whose diagonal stays 0.
-    """
-    rate[off] = np.exp(np.clip(logrates, -40, 40))
-    np.negative(rate, out=w)
-    w.flat[:: w.shape[0] + 1] = rate.sum(axis=1)
-
-
 def verify_unique(
     Q: GeneratorMatrix,
     trials: int,
@@ -135,7 +121,7 @@ def verify_unique(
     Runs ``trials`` random restarts of a gradient-free local search over
     log-rates on the full off-diagonal support (log-rates can sink edges to
     zero, so denser supports are covered).  Starts and search are bounded to
-    the box [-40, 40] that :func:`_fill_generator` clips to, so the set of W
+    the box [-40, 40] that the objective clips log-rates to, so the set of W
     searched is unchanged; the bounded line search needs no bracket, so a
     call leaves no reference cycles behind.  Returns True when no candidate
     matches QQ' at ``MATCH_TOL`` while differing from Q by more than
@@ -149,8 +135,8 @@ def verify_unique(
     off-diagonal support finds a distinct W with max|WW' - QQ'| ~ 4e-15
     on 7 of 12 random IdentifiableByTheorem graphs (8 of 12 in a second
     draw), and this function returns False when given such a W as a
-    candidate.  So the theorem as coded by :func:`check_identifiable` may
-    need the support of Q to be known.
+    candidate.  So the rule coded by :func:`check_identifiable` is no
+    theorem: it may need the support of Q to be known.
 
     Explicit ``candidates`` (rate dicts) are polished first and bypass the
     identifiability precondition, so the loop counterexample can be planted.
@@ -169,13 +155,21 @@ def verify_unique(
     scale = max(float(np.max(np.abs(target))), 1.0)
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
     rng = np.random.default_rng(seed)
-    off = ~np.eye(m, dtype=bool)
-    rate = np.zeros((m, m))
-    w = np.empty((m, m))
-    d = np.empty((m, m))
+    lo, hi = np.array(-40.0), np.array(40.0)  # 0-d bounds: no conversion per call
+    logrates = np.empty(len(pairs))
+    lograte_rows = logrates.reshape(m - 1, m)
+    rate, w, d = np.zeros((m, m)), np.empty((m, m)), np.empty((m, m))
+    # rate's off-diagonal slots, row-major (the order of pairs); its diagonal stays 0
+    rate_off = rate.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :m]
+    w_diag = w.reshape(-1)[:: m + 1]
 
     def objective(x):
-        _fill_generator(x, off, rate, w)
+        # W = diag(rowsum) - rate, in place; each rowsum over a whole row of rate, as
+        # m - 1 terms would group numpy's pairwise sum differently from m = 9 on
+        np.minimum(np.maximum(x, lo, out=logrates), hi, out=logrates)
+        np.exp(lograte_rows, out=rate_off)
+        np.negative(rate, out=w)
+        np.add.reduce(rate, axis=1, out=w_diag)
         np.dot(w, w.T, out=d)
         np.subtract(d, target, out=d)
         return float(np.vdot(d, d))

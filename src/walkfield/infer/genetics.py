@@ -398,8 +398,9 @@ def _evaluated_behind(evaluate):
     """Yield ``post(k)``, which queues ``evaluate(k)`` for one helper thread.
 
     The helper evaluates the posted indices in order while the caller goes
-    on.  On exit the caller posts the end markers and evaluates the rest of
-    the queue alongside the helper, then joins it; an exception in either
+    on, and once it has raised, the next ``post`` raises its exception.  On
+    exit the caller posts the end markers and evaluates the rest of the
+    queue alongside the helper, then joins it; an exception in either
     thread reaches the caller.  When the caller's block raises, the helper
     finishes the queue alone and is joined before the exception leaves.
     The queue holds indices only, so memory does not grow with the backlog.
@@ -410,10 +411,15 @@ def _evaluated_behind(evaluate):
         while (k := due.get()) is not None:
             evaluate(k)
 
+    def post(k):
+        if job.done():  # the helper stops early only by raising
+            job.result()
+        due.put(k)
+
     with ThreadPoolExecutor(max_workers=1) as helper:  # joined on exit, errors too
         job = helper.submit(drain)
         try:
-            yield due.put
+            yield post
         finally:
             # one end marker for the helper, one for the caller's share
             due.put(None)
@@ -441,7 +447,7 @@ def fit_probit_genetics(
     helper thread while the sweeps go on, and by this thread too once they
     end; the rows between carry the last evaluated value forward.  The
     helper is joined before the call returns or raises, and an exception
-    in it reaches the caller.  ``include_likelihood=False`` freezes the
+    in it stops the chain at the next due row.  ``include_likelihood=False`` freezes the
     latents out of every update, reducing each step to its prior (Gibbs
     audit mode), starts no thread and leaves every log-likelihood at 0.  The metadata record
     the beta acceptance rate, the proposals rejected on a

@@ -238,7 +238,7 @@ def test_confounded_cycles_all_sizes():
 
 
 # One Powell restart (at most 4000 evaluations) per graph.  On a 2-vCPU
-# x86-64 VM this test takes ~5 s and the whole tier-1 suite ~3 min.  A
+# x86-64 VM this test takes ~3-4 s and the whole tier-1 suite ~1 min.  A
 # pass means the restarts found no distinct W, not that none exists: see
 # the verify_unique docstring.
 def test_uniqueness_probe_on_50_identifiable_graphs():

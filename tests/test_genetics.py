@@ -1127,9 +1127,11 @@ class TestLoglikHelper:
         assert np.array_equal(serial[0].loglik[::2], _serial_logliks(spec, serial[0], 2))
 
     def test_an_evaluation_error_reaches_the_caller(self, small_sim, monkeypatch):
+        # one category_probs call per evaluation: the 3rd evaluation, the row
+        # kept at iteration 12, fails, and the chain stops soon after it
         spec, _ = small_sim
-        kernel = genetics.category_probs
-        calls = []
+        kernel, sweep = genetics.category_probs, genetics._latent_sweep
+        calls, sweeps = [], []
 
         def failing(means, category=None):
             calls.append(threading.current_thread())
@@ -1137,11 +1139,17 @@ class TestLoglikHelper:
                 raise RuntimeError("stand-in evaluation failed")
             return kernel(means, category)
 
+        def counted(*args):
+            sweeps.append(None)
+            return sweep(*args)
+
         monkeypatch.setattr(genetics, "category_probs", failing)
+        monkeypatch.setattr(genetics, "_latent_sweep", counted)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="stand-in evaluation failed"):
-            fit_probit_genetics(spec, iterations=30, burnin=10, seed=1)
+            fit_probit_genetics(spec, iterations=300, burnin=10, seed=1)
         assert threading.active_count() == before
+        assert 13 <= len(sweeps) < 100
 
     def test_a_sweep_error_reaches_the_caller(self, small_sim, monkeypatch):
         spec, _ = small_sim

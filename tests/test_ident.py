@@ -4,6 +4,7 @@ import gc
 import json
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from walkfield.ident import (
     IDENTIFIABLE,
     LOOP,
     REDUCIBLE,
-    _fill_generator,
     check_identifiable,
     construct_confounded_pair,
     verify_unique,
@@ -207,27 +207,146 @@ class TestVerifyUnique:
                 assert found is unique
 
 
+def random_identifiable(rng, m):
+    """A two-way path plus random extra edges, drawn until IdentifiableByTheorem."""
+    while True:
+        Q = generator_from_rates(m, {(i, j): float(rng.uniform(0.5, 2.0))
+                                     for i in range(m) for j in range(m)
+                                     if i != j and (abs(i - j) == 1 or rng.random() < 0.3)})
+        if check_identifiable(Q).classification == IDENTIFIABLE:
+            return Q
+
+
+def dense_objective(x, target):
+    """The probe's objective as first written: Σ(WW' - target)² and W.
+
+    W = diag(rowsum) - rate, with the clipped log-rates filled into the
+    off-diagonal mask in row-major order (the order of the probe's pairs).
+    """
+    m = target.shape[0]
+    rate, w, d = np.zeros((m, m)), np.empty((m, m)), np.empty((m, m))
+    rate[~np.eye(m, dtype=bool)] = np.exp(np.clip(x, -40, 40))
+    np.negative(rate, out=w)
+    w.flat[:: m + 1] = rate.sum(axis=1)
+    np.dot(w, w.T, out=d)
+    np.subtract(d, target, out=d)
+    return float(np.vdot(d, d)), w
+
+
 class TestDenseGenerator:
-    """The probe's dense W against the sparse generator it replaces."""
+    """Every value the probe's search sees, against :func:`dense_objective`.
+
+    Equal values, bit for bit, mean that Powell takes the same path and the
+    probe gives the same verdict as with the objective written plainly.
+    """
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Spy on ident.minimize: per call, its objective, the (x, value) pairs
+        it evaluated, and the result."""
+        real = ident.minimize
+        runs = []
+
+        def spy(fun, x0, **kwargs):
+            seen = []
+
+            def recording(x):
+                value = fun(x)
+                seen.append((x.copy(), value))
+                return value
+
+            res = real(recording, x0, **kwargs)
+            runs.append((fun, seen, res))
+            return res
+
+        monkeypatch.setattr(ident, "minimize", spy)
+        return runs
+
+    @staticmethod
+    def assert_values_equal(Q, runs):
+        q = Q.dense()
+        target = q @ q.T
+        assert runs
+        for _, seen, res in runs:
+            assert seen
+            for x, value in seen:
+                assert value == dense_objective(x, target)[0]
+            assert res.fun == dense_objective(res.x, target)[0]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_sparse_generator(self, seed):
+    def test_random_small_graphs(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 7))
+        Q = random_identifiable(rng, m)
+        runs = self.recorded(monkeypatch)
+        assert verify_unique(Q, trials=1, seed=seed)
+        self.assert_values_equal(Q, runs)
+
+    @pytest.mark.parametrize("m", [9, 12])
+    def test_larger_graphs(self, monkeypatch, m):
+        # from m = 9 a row of rates is 8 or more terms, where numpy's pairwise
+        # sum starts to group them; the row sums must still match rate.sum(axis=1)
+        g = line_graph(m)
+        Q = build_generator(g, edge_rates_loglinear(g, RateParams((0.0, 0.5, 0.0))))
+        runs = self.recorded(monkeypatch)
+        assert verify_unique(Q, trials=1, seed=m)
+        self.assert_values_equal(Q, runs)
+        fun = runs[0][0]
+        rng = np.random.default_rng(m)
+        q = Q.dense()
+        for _ in range(20):
+            x = rng.normal(0.0, 3.0, m * (m - 1))
+            assert fun(x) == dense_objective(x, q @ q.T)[0]
+
+    def test_start_clipped_from_beyond_the_box(self, monkeypatch):
+        Q, W = construct_confounded_pair([1.0, 2.0, 3.0])
+        w = W.dense()
+        w_rates = {(i, j): -w[i, j] for i in range(3) for j in range(3)
+                   if i != j and w[i, j] != 0.0}
+        runs = self.recorded(monkeypatch)
+        assert not verify_unique(Q, 0, 0, candidates=[{**w_rates, (0, 2): 1e20}])
+        self.assert_values_equal(Q, runs)
+        (fun, seen, _), = runs
+        first_x = seen[0][0]
+        assert first_x[1] == 40.0  # pairs[1] is (0, 2); log(1e20) = 46
+        # the search stays in the box, so clip the objective's own input here
+        q = Q.dense()
+        for x in ([46.0, -50.0, 0.3, 41.0, -41.0, 1.0], [-30.0, 50.0, -40.0, 40.0, 0.0, -1e3]):
+            assert fun(np.array(x)) == dense_objective(np.array(x), q @ q.T)[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sparse_generator(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 7))
         pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
         x = rng.normal(0.0, 2.0, len(pairs))
         x[rng.choice(len(pairs), 3, replace=False)] = [-30.0, -50.0, 50.0]
-        off = ~np.eye(m, dtype=bool)
-        rate, w = np.zeros((m, m)), np.empty((m, m))
-        _fill_generator(x, off, rate, w)
+        q = generator_from_rates(
+            m, {p: float(rng.uniform(0.5, 2.0)) for p in pairs if rng.random() < 0.6})
+        target = q.dense() @ q.dense().T
+        value, w = dense_objective(x, target)
         # the probe clips log-rates to [-40, 40]; -30 sinks an edge but keeps it
         ref = generator_from_rates(
             m, {p: float(np.exp(a)) for p, a in zip(pairs, np.clip(x, -40, 40))})
         np.testing.assert_allclose(w, ref.dense(), rtol=1e-14, atol=0.0)
-
-        q = generator_from_rates(
-            m, {p: float(rng.uniform(0.5, 2.0)) for p in pairs if rng.random() < 0.6})
-        target = q.dense() @ q.dense().T
         sparse_gap = (ref.matrix @ ref.matrix.T).toarray() - target
-        d = w @ w.T - target
-        assert np.vdot(d, d) == pytest.approx(float(np.sum(sparse_gap**2)), rel=1e-12)
+        assert value == pytest.approx(float(np.sum(sparse_gap**2)), rel=1e-12)
+
+        # the probe's own objective for q, taken without running the search
+        objectives = []
+
+        def no_search(fun, x0, **kwargs):
+            objectives.append(fun)
+            return SimpleNamespace(x=x0)
+
+        monkeypatch.setattr(ident, "minimize", no_search)
+        verify_unique(q, 0, 0, candidates=[{}])
+        assert objectives[0](x) == value
+
+    def test_five_node_restart_stops_at_maxfev(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        Q = random_identifiable(rng, 5)
+        runs = self.recorded(monkeypatch)
+        assert verify_unique(Q, trials=1, seed=0)
+        (_, seen, res), = runs
+        assert res.status == 1 and res.nfev == len(seen) == 4000
